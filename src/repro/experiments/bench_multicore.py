@@ -12,12 +12,18 @@ pattern extended to the multi-core subsystem):
 - **Fast ablation** — one cold end-to-end ``ablation multicore
   --fast`` pass (partitioning, per-core engines, arbitration and
   analytic cross-check together), as the orchestrated-path timing.
+
+Both timed regions run with the cyclic GC collected and paused
+(:func:`~repro.experiments.bench_pipeline.gc_paused`), so a point
+times the simulation rather than the heap the process happens to hold.
 """
 
 import json
 import platform
 import time
 from pathlib import Path
+
+from repro.experiments.bench_pipeline import gc_paused
 
 #: the committed acceptance point: full ablation size, all 16 cores
 BENCH_POINT = {
@@ -42,12 +48,13 @@ def _point_records(point):
 
     runner.reset_drivers()
     multicore.reset_recording_drivers()
-    start = time.perf_counter()
-    result = multicore.simulate_parallel_gemm(
-        point["method"], point["size"], point["size"], point["size"],
-        point["cores"], strategy=point["strategy"],
-    )
-    elapsed = time.perf_counter() - start
+    with gc_paused():
+        start = time.perf_counter()
+        result = multicore.simulate_parallel_gemm(
+            point["method"], point["size"], point["size"], point["size"],
+            point["cores"], strategy=point["strategy"],
+        )
+        elapsed = time.perf_counter() - start
     records = {
         "speedup": scrub(result.speedup),
         "efficiency": scrub(result.efficiency),
@@ -88,9 +95,11 @@ def bench_ablation_fast():
 
     runner.reset_drivers()
     multicore.reset_recording_drivers()
-    start = time.perf_counter()
-    orchestrator.run_experiment("multicore", fast=True, cache=None)
-    return {"cold_s": round(time.perf_counter() - start, 4)}
+    with gc_paused():
+        start = time.perf_counter()
+        orchestrator.run_experiment("multicore", fast=True, cache=None)
+        elapsed = time.perf_counter() - start
+    return {"cold_s": round(elapsed, 4)}
 
 
 def run_bench(repeats=3, point=None):

@@ -27,6 +27,8 @@ Produces ``BENCH_pipeline.json`` with two measurement families:
   with the loaded traces field-identical to fresh compiles.
 """
 
+import contextlib
+import gc
 import json
 import os
 import platform
@@ -44,6 +46,24 @@ ENGINE_EXPERIMENTS = ("fig17", "fig12")
 #: replay) earn their keep; the in-order path has far less scalar work
 #: to amortize and its ratio would only dilute the gate
 ACCEPTANCE_EXPERIMENT = "fig17"
+
+
+@contextlib.contextmanager
+def gc_paused():
+    """Collect garbage, then pause the cyclic GC until the block exits.
+
+    Wrap timed regions in this: otherwise a collection that lands in
+    one region but not another times whatever heap the process holds
+    (late in a test session, a large one) instead of the code under test.
+    """
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def _cold_run(name, engine_name, fast):
@@ -181,8 +201,6 @@ def measure_compile_cache(pairs=None, repeats=3):
     collection landing in one phase but not the other dominates the
     ratio with pure noise.
     """
-    import gc
-
     from repro.simulator import trace_cache
     from repro.simulator.engine import trace_caching
     from repro.simulator.trace_compile import (
@@ -205,7 +223,6 @@ def measure_compile_cache(pairs=None, repeats=3):
 
     cold_walls, warm_walls = [], []
     warm_traces = []
-    gc_was_enabled = gc.isenabled()
     with tempfile.TemporaryDirectory(prefix="repro-bench-trace-") as tmp:
         previous = os.environ.get("REPRO_CACHE_DIR")
         try:
@@ -216,28 +233,25 @@ def measure_compile_cache(pairs=None, repeats=3):
                     compile_trace(program, config)
                     for program, config in pairs
                 ]
-                gc.disable()
                 for index in range(max(1, repeats)):
                     os.environ["REPRO_CACHE_DIR"] = str(
                         Path(tmp) / ("rep%d" % index)
                     )
                     strip_memos()
-                    gc.collect()
-                    start = time.perf_counter()
-                    for program, config in pairs:
-                        compiled_for(program, config)
-                    cold_walls.append(time.perf_counter() - start)
+                    with gc_paused():
+                        start = time.perf_counter()
+                        for program, config in pairs:
+                            compiled_for(program, config)
+                        cold_walls.append(time.perf_counter() - start)
                     strip_memos()
-                    gc.collect()
-                    start = time.perf_counter()
-                    warm_traces = [
-                        compiled_for(program, config)
-                        for program, config in pairs
-                    ]
-                    warm_walls.append(time.perf_counter() - start)
+                    with gc_paused():
+                        start = time.perf_counter()
+                        warm_traces = [
+                            compiled_for(program, config)
+                            for program, config in pairs
+                        ]
+                        warm_walls.append(time.perf_counter() - start)
         finally:
-            if gc_was_enabled:
-                gc.enable()
             if previous is None:
                 os.environ.pop("REPRO_CACHE_DIR", None)
             else:

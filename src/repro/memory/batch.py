@@ -20,8 +20,11 @@ therefore:
    preserving its program order,
 3. collapses same-line runs within each set (per-run length and OR'd
    write flag via ``np.logical_or.reduceat``), and
-4. walks the collapsed runs with an ``OrderedDict`` per set (insertion
-   order == LRU order, ``move_to_end`` == MRU promotion).
+4. hands the collapsed runs to :meth:`Cache.lookup_runs
+   <repro.memory.cache.Cache.lookup_runs>`, which walks the cache's own
+   per-set dicts in place (``OrderedDict`` insertion order == LRU
+   order, ``move_to_end`` == MRU promotion). No state is exported or
+   imported, and only the touched sets are visited.
 
 Only the collapsed runs touch Python bytecode; on the GEMM-shaped
 streams of the cache studies this is a small fraction of the raw
@@ -35,35 +38,9 @@ prefetchers enabled fall back to the scalar path in
 prefetcher table update is inherently sequential.
 """
 
-from collections import OrderedDict
 from itertools import repeat
 
 import numpy as np
-
-from repro.memory.cache import _Line
-
-
-def _export_sets(cache):
-    """Cache state as one OrderedDict per set: tag -> [dirty, prefetched].
-
-    Insertion order mirrors the scalar cache's per-set LRU list (least
-    recently used first).
-    """
-    sets = []
-    for ways in cache._sets:
-        od = OrderedDict()
-        for line in ways:
-            od[line.tag] = [line.dirty, line.prefetched]
-        sets.append(od)
-    return sets
-
-
-def _import_sets(cache, sets):
-    """Write OrderedDict state back into the scalar cache's LRU lists."""
-    cache._sets = [
-        [_Line(tag, dirty=flags[0], prefetched=flags[1]) for tag, flags in od.items()]
-        for od in sets
-    ]
 
 
 def batch_lookup(cache, addrs, is_write, collect_misses=True):
@@ -102,61 +79,15 @@ def batch_lookup(cache, addrs, is_write, collect_misses=True):
 
     run_sets = (lines_sorted[heads] % n_sets).tolist()
     run_tags = (lines_sorted[heads] // n_sets).tolist()
-    journal = cache._journal
-    if journal is not None:
-        # batch replay rebuilds whole sets; journal every touched set's
-        # pre-image so a speculative sequence can still roll back
-        for s in set(run_sets):
-            if s not in journal:
-                journal[s] = [
-                    (entry.tag, entry.dirty, entry.prefetched)
-                    for entry in cache._sets[s]
-                ]
     run_lengths = np.diff(np.append(heads, n)).tolist()
     run_writes = np.logical_or.reduceat(writes_sorted, heads).tolist()
-    run_indices = order[heads].tolist() if collect_misses else repeat(0)
-
-    state = _export_sets(cache)
-    ways_limit = config.ways
-    hits = misses = evictions = writebacks = prefetch_hits = 0
     miss_heads = []
-    append_miss = miss_heads.append if collect_misses else (lambda idx: None)
-
-    current_set = -1
-    od = None
-    for s, tag, length, wrote, idx in zip(
-        run_sets, run_tags, run_lengths, run_writes, run_indices
-    ):
-        if s != current_set:
-            current_set = s
-            od = state[s]
-        entry = od.get(tag)
-        if entry is not None:
-            od.move_to_end(tag)
-            if entry[1]:
-                prefetch_hits += 1
-                entry[1] = False
-            if wrote:
-                entry[0] = True
-            hits += length
-        else:
-            misses += 1
-            hits += length - 1
-            append_miss(idx)
-            if len(od) >= ways_limit:
-                victim = od.popitem(last=False)[1]
-                evictions += 1
-                if victim[0]:
-                    writebacks += 1
-            od[tag] = [wrote, False]
-
-    _import_sets(cache, state)
-    stats = cache.stats
-    stats.hits += hits
-    stats.misses += misses
-    stats.evictions += evictions
-    stats.writebacks += writebacks
-    stats.prefetch_hits += prefetch_hits
+    if collect_misses:
+        run_indices, on_miss = order[heads].tolist(), miss_heads.append
+    else:
+        run_indices, on_miss = repeat(0), lambda idx: None
+    cache.lookup_runs(run_sets, run_tags, run_lengths, run_writes,
+                      run_indices, on_miss)
 
     miss_idx = np.asarray(miss_heads, dtype=np.int64)
     miss_idx.sort()

@@ -23,16 +23,22 @@ from repro.gemm.traces import (
 )
 from repro.isa.dtypes import DType
 from repro.memory.batch import batch_lookup, coalesce_chunks
-from repro.memory.cache import Cache, CacheConfig
+from repro.memory.cache import DIRTY, PREFETCHED, Cache, CacheConfig
 from repro.memory.dram import Dram
 from repro.memory.hierarchy import MemoryHierarchy
 
 
 def line_state(cache):
-    return [
-        [(line.tag, line.dirty, line.prefetched) for line in ways]
-        for ways in cache._sets
-    ]
+    """Per allocated set, by set index: (tag, dirty, prefetched) in LRU order.
+
+    Sorted because batch replay allocates sets in set-index order, so
+    the scalar and batch paths fill ``cache._sets`` in different orders.
+    """
+    return sorted(
+        (set_index, [(tag, bool(flags & DIRTY), bool(flags & PREFETCHED))
+                     for tag, flags in ways.items()])
+        for set_index, ways in cache._sets.items()
+    )
 
 
 def scalar_replay(cache, addrs, writes):
@@ -62,16 +68,29 @@ class TestBatchLookupEquivalence:
         assert vars(scalar.stats) == vars(batch.stats)
         assert line_state(scalar) == line_state(batch)
 
-    def test_chunk_boundaries_carry_state(self):
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_chunk_boundaries_carry_state(self, mixed):
+        # mixed: alternate chunks go through the scalar lookup/prefetch
+        # calls and through batch_lookup on the same cache
         rng = np.random.default_rng(3)
         addrs = rng.integers(0, 1 << 14, size=5000)
         writes = rng.random(5000) < 0.5
+        prefetches = rng.integers(0, 1 << 14, size=(6, 8)).tolist()
         scalar = Cache(CacheConfig("l1", 2048, 64, 4, 4))
         batch = Cache(CacheConfig("l1", 2048, 64, 4, 4))
-        scalar_replay(scalar, addrs, writes)
         bounds = [0, 1, 17, 1000, 1001, 4999, 5000]
-        for lo, hi in zip(bounds, bounds[1:]):
-            batch_lookup(batch, addrs[lo:hi], writes[lo:hi])
+        for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            if mixed:
+                for addr in prefetches[i]:
+                    scalar.prefetch(addr)
+                    batch.prefetch(addr)
+            scalar_replay(scalar, addrs[lo:hi], writes[lo:hi])
+            if mixed and i % 2:
+                scalar_replay(batch, addrs[lo:hi], writes[lo:hi])
+            else:
+                batch_lookup(batch, addrs[lo:hi], writes[lo:hi])
+        if mixed:
+            assert scalar.stats.prefetch_hits > 0
         assert vars(scalar.stats) == vars(batch.stats)
         assert line_state(scalar) == line_state(batch)
 

@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from repro.memory.cache import Cache, CacheConfig
+from repro.memory.cache import DIRTY, PREFETCHED, Cache, CacheConfig
 from repro.memory.dram import Dram, MultiChannelDram, RecordingDram
 from repro.memory.hierarchy import MemoryHierarchy
 
@@ -33,8 +33,10 @@ def _state_fingerprint(hierarchy):
     for cache in hierarchy.caches:
         caches.append((
             vars(cache.stats).copy(),
-            [[(line.tag, line.dirty, line.prefetched) for line in ways]
-             for ways in cache._sets],
+            sorted((set_index,
+                    [(tag, bool(flags & DIRTY), bool(flags & PREFETCHED))
+                     for tag, flags in ways.items()])
+                   for set_index, ways in cache._sets.items()),
         ))
     prefetchers = [
         None if p is None else p.snapshot() for p in hierarchy.prefetchers
@@ -67,14 +69,17 @@ def _drive(hierarchy, accesses):
     ]
 
 
+@pytest.mark.parametrize("warm_count", [150, 0])
 @pytest.mark.parametrize("prefetch", [True, False])
 @pytest.mark.parametrize("dram_cls", [Dram, RecordingDram, MultiChannelDram])
-def test_rollback_restores_every_observable(prefetch, dram_cls):
+def test_rollback_restores_every_observable(prefetch, dram_cls, warm_count):
+    # warm_count=0: speculation first-touches every set it allocates,
+    # and rollback must drop those sets again
     rng = random.Random(1234)
     h = MemoryHierarchy.from_configs(_configs(), dram_cls(), prefetch=prefetch)
     twin = MemoryHierarchy.from_configs(_configs(), dram_cls(),
                                         prefetch=prefetch)
-    warm = _random_accesses(rng, 150)
+    warm = _random_accesses(rng, warm_count)
     _drive(h, warm)
     _drive(twin, warm)
 
@@ -122,14 +127,15 @@ def test_rollback_then_replay_is_exact():
     assert _state_fingerprint(h) == _state_fingerprint(twin)
 
 
-def test_batch_paths_roll_back_under_journal():
+@pytest.mark.parametrize("warm_count", [100, 0])
+def test_batch_paths_roll_back_under_journal(warm_count):
     """resolve_batch / access_batch are journal-safe (batch_lookup path)."""
     import numpy as np
 
     rng = random.Random(41)
     h = MemoryHierarchy.from_configs(_configs(), Dram(), prefetch=False)
     twin = MemoryHierarchy.from_configs(_configs(), Dram(), prefetch=False)
-    warm = _random_accesses(rng, 100)
+    warm = _random_accesses(rng, warm_count)
     _drive(h, warm)
     _drive(twin, warm)
 
