@@ -132,6 +132,13 @@ class MachineSpec:
                     "machine %r: cache levels must be CacheConfig, got %r"
                     % (self.name, level)
                 )
+        names = [level.name for level in self.caches]
+        repeated = sorted({name for name in names if names.count(name) > 1})
+        if repeated:
+            raise MachineSpecError(
+                "machine %r: cache level names must be unique; repeated: %s"
+                % (self.name, ", ".join(repeated))
+            )
         if not isinstance(self.store_buffer, StoreBufferSpec):
             raise MachineSpecError(
                 "machine %r: store_buffer must be a StoreBufferSpec"

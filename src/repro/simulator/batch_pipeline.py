@@ -6,8 +6,8 @@ faster. The trace is compiled once into structure-of-arrays form
 (:mod:`repro.simulator.trace_compile`) — or loaded from the cross-run
 compiled-trace cache (:mod:`repro.simulator.trace_cache`) when an
 earlier run, another worker process, or a resumed sweep already
-compiled the identical (program, machine) pair; scheduling then picks
-one of three exact engines:
+compiled the identical (program, machine) pair; scheduling then takes
+one of two exact engines, chosen by the machine's lookahead window:
 
 - **In-order direct issue** (``window == 1``). Issue order equals
   program order, so each instruction's issue cycle is computed in one
@@ -23,32 +23,18 @@ one of three exact engines:
   latency depends on the issue cycle — is charged lazily at issue, in
   the order the scalar walk would.
 
-- **Window scan with sleep-run skipping** (windowed machines, low FU
-  contention). Replicates the scalar per-cycle scan over the first
-  ``window`` pending instructions, but caches maximal runs of
-  consecutive sleeping instructions keyed by the earliest cycle any
-  member could issue, skipping a whole run in O(1). Members whose
-  operand-ready cycle is still unknown are covered by a ``run_of``
-  back-pointer: the moment their wake is assigned — at a producer's
-  issue, always at least one cycle ahead — the containing run's bound
-  is lowered to it (lowering can only make skipping less aggressive,
-  never unsound).
+- **Window scan with sleep-run skipping** (windowed machines).
+  Replicates the scalar per-cycle scan over the first ``window``
+  pending instructions, but caches maximal runs of consecutive
+  sleeping instructions keyed by the earliest cycle any member could
+  issue, skipping a whole run in O(1). Members whose operand-ready
+  cycle is still unknown are covered by a ``run_of`` back-pointer: the
+  moment their wake is assigned — at a producer's issue, always at
+  least one cycle ahead — the containing run's bound is lowered to it
+  (lowering can only make skipping less aggressive, never unsound).
 
-- **Event-driven window scheduler** (windowed machines with a
-  saturated functional unit, picked via the trace's static occupancy
-  bound). An instruction is only touched when something it waits on
-  can change: sleepers live in a wake heap keyed by operand-ready
-  cycle; instructions blocked on a busy unit wait in a per-FU-class
-  queue woken — lowest program index first, one waiter per free unit —
-  when the unit's next-free time arrives (a pool's minimum next-free
-  time never decreases, so the wake time is sound); stores blocked on
-  a full store buffer wait on the drain threshold the same way. The
-  issue-window cap is a ``window_end`` pointer to the ``window``-th
-  pending instruction: it only advances, so a ready instruction beyond
-  it parks until the window slides over it.
-
-All three compress no-issue gaps into one bulk-classified clock jump,
-and all three take the SimStats counters that are trace constants
+Both compress no-issue gaps into one bulk-classified clock jump, and
+both take the SimStats counters that are trace constants
 (instruction/vector/load/store counts, byte totals, per-class busy
 cycles) straight from the compile pass instead of accumulating them
 per issue. Out-of-order machines keep per-issue memory resolution
@@ -60,10 +46,8 @@ store-buffer occupancy, stall taxonomy tie-breaking and unsupported-
 instruction errors replicate the scalar loop decision for decision;
 the equivalence suite in ``tests/test_simulator_batch.py`` sweeps both
 machine configs (plus randomized configs and traces) against the
-scalar engine for every scheduler.
+scalar engine for both schedulers.
 """
-
-from heapq import heapify, heappop, heappush
 
 import numpy as np
 
@@ -74,9 +58,6 @@ from repro.simulator.stats import SimStats
 from repro.simulator.trace_compile import FU_LIST, compiled_for
 
 _INF = 1 << 60
-
-#: test hook: force a specific windowed scheduler ("scan" or "event")
-FORCE_SCHEDULER = None
 
 
 def run_batch(simulator, program, warm_addresses=()):
@@ -94,7 +75,9 @@ def run_batch(simulator, program, warm_addresses=()):
     hierarchy.rebase_queues()
 
     trace = compiled_for(program, config)
-    stats = _dispatch(trace, program, config, hierarchy)
+    schedule = _schedule_inorder if config.window == 1 else _schedule_scan
+    with profiling.phase("schedule"):
+        stats = schedule(trace, program, config, hierarchy)
 
     for cache in hierarchy.caches:
         hits_0, misses_0 = stats_base[cache.config.name]
@@ -104,31 +87,6 @@ def run_batch(simulator, program, warm_addresses=()):
             misses / accesses if accesses else 0.0
         )
     return stats
-
-
-def _dispatch(trace, program, config, hierarchy):
-    """Pick the fastest exact scheduler for this (trace, machine) pair.
-
-    All three produce identical results; the choice is purely a
-    performance heuristic. In-order machines take the direct-issue
-    path. Windowed machines whose static FU occupancy bound exceeds
-    the issue-width bound (a saturated unit keeps a long blocked queue
-    in the window) schedule event-driven; otherwise the window is
-    mostly issueable and the cheaper linked-list scan wins.
-    """
-    if config.window == 1:
-        profiling.note_scheduler(program.name, "inorder")
-        with profiling.phase("schedule"):
-            return _schedule_inorder(trace, program, config, hierarchy)
-    which = FORCE_SCHEDULER
-    if which is None:
-        issue_bound = -(-trace.n // config.issue_width)
-        which = "event" if trace.fu_bound > issue_bound else "scan"
-    profiling.note_scheduler(program.name, which)
-    with profiling.phase("schedule"):
-        if which == "event":
-            return _schedule_window(trace, program, config, hierarchy)
-        return _schedule_scan(trace, program, config, hierarchy)
 
 
 def _unsupported(config, program, index):
@@ -596,291 +554,3 @@ def _classify_gap(trace, complete_at, head, ready, cycle, nxt_evt,
                 st_fu += phase2
     return nxt_evt, st_fu, st_rd, st_wr
 
-
-def _schedule_window(trace, program, config, hierarchy):
-    """Event-driven scheduler for windowed (out-of-order) machines."""
-    n = trace.n
-    info = trace.info
-    addr_col = trace.addr
-    size_col = trace.size
-    deps = trace.deps
-    dependents = trace.dependents
-
-    stats = SimStats()
-    if n == 0:
-        return stats
-
-    pools = _make_pools(config)
-    n_classes = len(FU_LIST)
-    window = config.window
-    width = config.issue_width
-    sb_entries = config.store_buffer.entries
-    sb_drain = config.store_buffer.drain_latency
-    access = hierarchy.access
-
-    # event keys: (cycle << shift) | id, id < n for instructions,
-    # n + class for FU-retry markers, n + n_classes for the store-room
-    # marker — integer keys keep the heap comparisons cheap
-    shift = (n + n_classes + 1).bit_length()
-    id_mask = (1 << shift) - 1
-    room_marker_id = n + n_classes
-
-    wake = [0] * n       # operand-ready cycle; _INF until producers issued
-    n_wait = [0] * n
-    ready_acc = [0] * n
-    for i, dd in enumerate(deps):
-        if dd:
-            n_wait[i] = len(dd)
-            wake[i] = _INF
-    complete_at = [0] * n
-
-    # pending instructions as a linked list (head + window_end tracking)
-    nxt = list(range(1, n + 2))
-    prv = list(range(-1, n + 1))
-    head_node = n
-    nxt[head_node] = 0
-    prv[0] = head_node
-    if n > window:
-        window_end = window - 1
-        we_idx = window_end
-    else:
-        window_end = head_node
-        we_idx = n  # every index is within the window
-
-    # we_idx is the *index* of the window-th pending entry (or n once
-    # fewer than `window` remain); entries at index <= we_idx are
-    # scannable this cycle
-    cand = [i for i in range(n) if not n_wait[i] and i <= we_idx]
-    parked = [i for i in range(n) if not n_wait[i] and i > we_idx]
-    heapify(cand)
-    heapify(parked)
-
-    events = []  # wake heap of integer-encoded events
-    fu_q = [None] * n_classes  # per-class waiter heaps (lazily created)
-    fu_marker = [False] * n_classes
-    room_q = []
-    room_marker = False
-    marker_refresh = []  # marker ids to re-arm at the end of this cycle
-
-    store_buffer = []
-    sb_head = 0
-    store_tail = 0
-    cycle = 0
-    last_completion = 0
-    st_fu = st_rd = st_wr = issue_cycles = 0
-    remaining = n
-
-    replayer = replayer_for(trace, config, hierarchy, pools, wake, n_wait,
-                            ready_acc, complete_at, nxt, prv, head_node)
-    rp_next = replayer.next_trigger if replayer is not None else _INF
-    rec_mem = None
-    rec_iss = None
-    max_issued = -1
-
-    while remaining:
-        if rp_next <= nxt[head_node]:
-            h0 = nxt[head_node]
-            mi0 = max_issued
-            (rp_next, rec_mem, rec_iss, k, cycle, sb_head, store_tail,
-             last_completion, st_fu, st_rd, st_wr, issue_cycles,
-             max_issued) = replayer.on_boundary(
-                h0, cycle, max_issued, store_buffer, sb_head, store_tail,
-                last_completion, st_fu, st_rd, st_wr, issue_cycles,
-                rec_mem, rec_iss)
-            if k:
-                # replay issues exactly the max_issued advance: the
-                # matched signatures force identical pending sets, so
-                # every index the fast-forward covered was issued (the
-                # effective period can be any multiple of the stride,
-                # not just the structural period)
-                remaining -= max_issued - mi0
-                # the wake/FU/room heaps are derived acceleration state;
-                # rebuild them fresh from the translated canonical columns
-                window_end, we_idx, cand, parked, events = (
-                    replayer.rebuild_window_queues(cycle, shift))
-                fu_q = [None] * n_classes
-                fu_marker = [False] * n_classes
-                room_q = []
-                room_marker = False
-                del marker_refresh[:]
-            continue
-        # 1. fire due events
-        while events and (events[0] >> shift) <= cycle:
-            ident = heappop(events) & id_mask
-            if ident < n:
-                if ident <= we_idx:
-                    heappush(cand, ident)
-                else:
-                    heappush(parked, ident)
-            elif ident == room_marker_id:
-                room_marker = False
-                while sb_head < len(store_buffer) and store_buffer[sb_head] <= cycle:
-                    sb_head += 1
-                rooms = sb_entries - (len(store_buffer) - sb_head)
-                while rooms > 0 and room_q:
-                    heappush(cand, heappop(room_q))
-                    rooms -= 1
-                if room_q:
-                    marker_refresh.append(room_marker_id)
-            else:
-                c = ident - n
-                fu_marker[c] = False
-                q = fu_q[c]
-                free_units = 0
-                for f in pools[c]:
-                    if f <= cycle:
-                        free_units += 1
-                while free_units > 0 and q:
-                    heappush(cand, heappop(q))
-                    free_units -= 1
-                if q:
-                    marker_refresh.append(ident)
-        # 2. attempt issues in program order among ready candidates
-        issued_now = 0
-        while cand and issued_now < width:
-            i = heappop(cand)
-            fu_id, lat, interval, is_load, is_store, _ = info[i]
-            if is_store:  # store: buffer must have room
-                sb_len = len(store_buffer)
-                while sb_head < sb_len and store_buffer[sb_head] <= cycle:
-                    sb_head += 1
-                pend = sb_len - sb_head
-                if pend >= sb_entries:
-                    heappush(room_q, i)
-                    if not room_marker:
-                        t = store_buffer[sb_head + pend - sb_entries]
-                        heappush(events, (t << shift) | room_marker_id)
-                        room_marker = True
-                    continue
-            pool = pools[fu_id]
-            if pool is None:
-                _unsupported(config, program, i)
-            if pool[0] <= cycle:
-                unit = 0
-            else:
-                unit = -1
-                for u in range(1, len(pool)):
-                    if pool[u] <= cycle:
-                        unit = u
-                        break
-                if unit < 0:
-                    q = fu_q[fu_id]
-                    if q is None:
-                        q = fu_q[fu_id] = []
-                    heappush(q, i)
-                    if not fu_marker[fu_id]:
-                        m = pool[0]
-                        for f in pool:
-                            if f < m:
-                                m = f
-                        heappush(events, (m << shift) | (n + fu_id))
-                        fu_marker[fu_id] = True
-                    continue
-            # --- issue i at `cycle` ---
-            pool[unit] = cycle + interval
-            if i > max_issued:
-                max_issued = i
-            if is_load:
-                latency = access(addr_col[i], size_col[i], is_write=False,
-                                 now_cycle=cycle).latency
-                if rec_mem is not None:
-                    rec_mem.append((i, cycle, latency, False))
-            elif is_store:
-                access(addr_col[i], size_col[i], is_write=True, now_cycle=cycle)
-                if rec_mem is not None:
-                    rec_mem.append((i, cycle, 0, True))
-                if store_tail < cycle:
-                    store_tail = cycle
-                store_tail += sb_drain
-                store_buffer.append(store_tail)
-                latency = 1
-                if store_tail > last_completion:
-                    last_completion = store_tail
-            else:
-                latency = lat
-            done = cycle + latency
-            complete_at[i] = done
-            if rec_iss is not None:
-                rec_iss.append((i, done))
-            if done > last_completion:
-                last_completion = done
-            dl = dependents[i]
-            if dl is not None:
-                for j in dl:
-                    if ready_acc[j] < done:
-                        ready_acc[j] = done
-                    left = n_wait[j] - 1
-                    n_wait[j] = left
-                    if not left:
-                        v = ready_acc[j]
-                        wake[j] = v
-                        heappush(events, (v << shift) | j)
-            p = prv[i]
-            q = nxt[i]
-            nxt[p] = q
-            prv[q] = p
-            remaining -= 1
-            issued_now += 1
-        # 3. end of cycle: re-arm markers whose queues still wait
-        if marker_refresh:
-            for ident in marker_refresh:
-                if ident == room_marker_id:
-                    if room_q and not room_marker:
-                        sb_len = len(store_buffer)
-                        while sb_head < sb_len and store_buffer[sb_head] <= cycle:
-                            sb_head += 1
-                        pend = len(store_buffer) - sb_head
-                        if pend >= sb_entries:
-                            t = store_buffer[sb_head + pend - sb_entries]
-                        else:
-                            t = cycle + 1  # room exists; retry next cycle
-                        heappush(events, (t << shift) | room_marker_id)
-                        room_marker = True
-                else:
-                    c = ident - n
-                    if fu_q[c] and not fu_marker[c]:
-                        m = _INF
-                        any_free = False
-                        for f in pools[c]:
-                            if f <= cycle:
-                                any_free = True
-                            elif f < m:
-                                m = f
-                        t = cycle + 1 if any_free else m
-                        heappush(events, (t << shift) | (n + c))
-                        fu_marker[c] = True
-            del marker_refresh[:]
-        if issued_now:
-            issue_cycles += 1
-            k = issued_now
-            while k and window_end != head_node:
-                window_end = nxt[window_end]
-                if window_end == head_node:
-                    we_idx = n
-                else:
-                    we_idx = window_end
-                k -= 1
-            while parked and parked[0] <= we_idx:
-                heappush(cand, heappop(parked))
-            cycle += 1
-            continue
-        if not remaining:
-            break
-        # 4. stall: classify and jump to the next event
-        if not events:
-            raise AssertionError(
-                "batch scheduler made no progress at cycle %d" % cycle
-            )
-        nxt_evt = events[0] >> shift
-        if nxt_evt <= cycle:
-            raise AssertionError(
-                "batch scheduler event did not advance at cycle %d" % cycle
-            )
-        head = nxt[head_node]
-        cycle, st_fu, st_rd, st_wr = _classify_gap(
-            trace, complete_at, head, wake[head],
-            cycle, nxt_evt, st_fu, st_rd, st_wr,
-        )
-
-    return _finish(stats, trace, cycle, last_completion,
-                   st_fu, st_rd, st_wr, issue_cycles)

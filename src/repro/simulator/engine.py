@@ -4,7 +4,8 @@ Two engines produce bit-identical :class:`~repro.simulator.stats.SimStats`:
 
 - ``"batch"`` (default) — the vectorized scoreboard in
   :mod:`repro.simulator.batch_pipeline`: compiles the trace once into
-  structure-of-arrays form and schedules with event-driven passes.
+  structure-of-arrays form and schedules it with direct issue
+  (in-order machines) or a windowed scan (out-of-order machines).
 - ``"scalar"`` — the original cycle-by-cycle reference loop in
   :mod:`repro.simulator.pipeline`, kept as the semantic model the batch
   engine is equivalence-tested against.

@@ -1,4 +1,4 @@
-"""Periodic steady-state replay for the windowed batch schedulers.
+"""Periodic steady-state replay for the windowed batch scheduler.
 
 The GEMM traces the batch pipeline schedules are dominated by software
 loops: long regions where instruction ``i + P`` is a structural copy of
@@ -22,8 +22,8 @@ This module exploits that in two pieces:
   stall-blame tie-breaking (`first maximal producer`) aligned across
   periods.
 
-- **Runtime replay** (:class:`PeriodicReplayer`, shared by the scan
-  and event schedulers): at each boundary ``b = lo + q*P`` capture a
+- **Runtime replay** (:class:`PeriodicReplayer`, driven by the window
+  scan scheduler): at each boundary ``b = lo + q*P`` capture a
   relative signature of the canonical scheduler state (pending set,
   per-instruction wake/ready/completion clamped to the current cycle,
   FU pools, store buffer). When two consecutive boundary signatures
@@ -53,7 +53,6 @@ Set ``REPRO_NO_PERIOD_REPLAY=1`` to disable replay globally.
 """
 
 import os
-from heapq import heapify
 
 import numpy as np
 
@@ -602,55 +601,6 @@ class PeriodicReplayer:
         store_tail = tail_sig + c2 if tail_sig >= 0 else 0
         last_completion = lc_sig + c2 if lc_sig else last_completion_in
         return 0, store_tail, last_completion
-
-    # -- event-scheduler queue rebuild --------------------------------------
-
-    def rebuild_window_queues(self, cycle, shift):
-        """Fresh cand/parked/events heaps and window pointer after replay.
-
-        The event scheduler's heaps and FU-retry queues are derived
-        acceleration state; rebuilding them fresh from the canonical
-        columns is exact (an entry that cannot issue re-parks itself on
-        its first attempt).
-        """
-        n = self.n
-        nxt = self.nxt
-        wake = self.wake
-        n_wait = self.n_wait
-        head_node = self.head_node
-        window = self.window
-
-        node = nxt[head_node]
-        steps = window - 1
-        while steps and node < n:
-            node = nxt[node]
-            steps -= 1
-        if node >= n:
-            window_end = head_node
-            we_idx = n
-        else:
-            window_end = node
-            we_idx = node
-
-        cand = []
-        parked = []
-        events = []
-        j = nxt[head_node]
-        while j < n:
-            if not n_wait[j]:
-                w = wake[j]
-                if w <= cycle:
-                    if j <= we_idx:
-                        cand.append(j)
-                    else:
-                        parked.append(j)
-                else:
-                    events.append((w << shift) | j)
-            j = nxt[j]
-        heapify(cand)
-        heapify(parked)
-        heapify(events)
-        return window_end, we_idx, cand, parked, events
 
 
 __all__ = ["PeriodInfo", "PeriodicReplayer", "period_info", "replay_enabled",

@@ -4,10 +4,9 @@
 "where did this slow point spend its time?" without a full cProfile
 run. The engines call :func:`phase` around their few structurally
 interesting regions — trace compile, scheduling, bulk memory replay,
-multicore arbitration — and :func:`note_scheduler` when the batch
-dispatcher picks a scheduler for a trace. Everything is a no-op until
-a :func:`profile` block activates collection, so the hooks cost one
-global read on the hot paths.
+multicore arbitration. Everything is a no-op until a :func:`profile`
+block activates collection, so the hooks cost one global read on the
+hot paths.
 
 Collection is process-global (like the trace-cache counters): pool
 workers profile into their own process and their numbers are not
@@ -22,7 +21,6 @@ from contextlib import contextmanager
 _active = False
 _phase_seconds = OrderedDict()   # phase name -> cumulative seconds
 _phase_calls = OrderedDict()     # phase name -> timed region count
-_schedulers = OrderedDict()      # (program name, scheduler) -> traces
 
 
 def enabled():
@@ -33,7 +31,6 @@ def enabled():
 def reset():
     _phase_seconds.clear()
     _phase_calls.clear()
-    _schedulers.clear()
 
 
 @contextmanager
@@ -73,14 +70,6 @@ def phase(name):
         _phase_calls[name] = _phase_calls.get(name, 0) + 1
 
 
-def note_scheduler(program_name, scheduler):
-    """Record which batch scheduler ran one trace."""
-    if not _active:
-        return
-    key = (program_name or "<unnamed>", scheduler)
-    _schedulers[key] = _schedulers.get(key, 0) + 1
-
-
 def snapshot():
     """The collected numbers as a plain dict (stable ordering)."""
     return {
@@ -88,9 +77,6 @@ def snapshot():
             name: {"seconds": _phase_seconds[name],
                    "calls": _phase_calls.get(name, 0)}
             for name in _phase_seconds
-        },
-        "schedulers": {
-            "%s:%s" % key: count for key, count in _schedulers.items()
         },
     }
 
@@ -111,10 +97,4 @@ def render(data=None):
     else:
         lines.append("no engine phases recorded (scalar engine, or the "
                      "run never reached the simulator)")
-    schedulers = data["schedulers"]
-    if schedulers:
-        lines.append("scheduler per trace:")
-        for key, count in schedulers.items():
-            program, scheduler = key.rsplit(":", 1)
-            lines.append("  %-24s %-8s x%d" % (program, scheduler, count))
     return "\n".join(lines)

@@ -350,7 +350,6 @@ def serialize_trace(trace):
         "mem_addr": trace.mem_addr,
         "mem_size": trace.mem_size,
         "mem_write": trace.mem_write,
-        "fu_bound": trace.fu_bound,
         "totals": trace.totals,
     }
     body = pickle.dumps(payload, protocol=_PICKLE_PROTOCOL)
@@ -377,8 +376,7 @@ def deserialize_trace(data):
         n, payload["info"], payload["addr"], payload["size"],
         payload["deps"], payload["dependents"], payload["mix"],
         payload["mem_index"], payload["mem_addr"], payload["mem_size"],
-        payload["mem_write"], fu_bound=payload["fu_bound"],
-        totals=payload["totals"],
+        payload["mem_write"], totals=payload["totals"],
     )
     if not (len(trace.info) == len(trace.addr) == len(trace.size)
             == len(trace.deps) == len(trace.dependents) == n):
@@ -403,7 +401,6 @@ def traces_equal(a, b):
         and a.mem_addr == b.mem_addr
         and a.mem_size == b.mem_size
         and a.mem_write == b.mem_write
-        and a.fu_bound == b.fu_bound
         and a.totals == b.totals
     )
 

@@ -135,13 +135,12 @@ class CompiledTrace:
 
     __slots__ = (
         "n", "info", "addr", "size", "deps", "dependents", "mix",
-        "mem_index", "mem_addr", "mem_size", "mem_write", "fu_bound",
-        "totals", "_arrays", "_period",
+        "mem_index", "mem_addr", "mem_size", "mem_write", "totals",
+        "_arrays", "_period",
     )
 
     def __init__(self, n, info, addr, size, deps, dependents, mix,
-                 mem_index, mem_addr, mem_size, mem_write, fu_bound=0,
-                 totals=None):
+                 mem_index, mem_addr, mem_size, mem_write, totals=None):
         self.n = n
         self.info = info              # list[shared opcode record tuples]
         self.addr = addr              # list[int]; 0 for non-memory ops
@@ -153,10 +152,6 @@ class CompiledTrace:
         self.mem_addr = mem_addr
         self.mem_size = mem_size
         self.mem_write = mem_write
-        #: static occupancy lower bound: max over FU classes of
-        #: ceil(sum-of-intervals / units); the batch engine uses it to
-        #: pick between its scan and event schedulers
-        self.fu_bound = fu_bound
         #: (n_vector, n_loads, n_stores, bytes_loaded, bytes_stored,
         #: per-class busy cycles) — every instruction issues exactly
         #: once, so these SimStats counters are trace constants the
@@ -292,7 +287,7 @@ def compile_trace(program, config):
             else:
                 for d in dst:
                     last_writer[d] = i
-    # mix, counter totals and FU-occupancy bound from the record counts
+    # mix and counter totals from the record counts
     class_busy = [0] * len(FU_LIST)
     n_vector = n_loads = n_stores = 0
     for rec, count in rec_counts.items():
@@ -316,21 +311,13 @@ def compile_trace(program, config):
         else:
             bytes_loaded += size
     mix = {"read": mix_read, "write": mix_write, "alu": mix_alu}
-    fu_bound = 0
-    for fu_id, busy in enumerate(class_busy):
-        if busy:
-            units = config.fu_counts.get(FU_LIST[fu_id], 0)
-            if units:
-                bound = -(-busy // units)
-                if bound > fu_bound:
-                    fu_bound = bound
     totals = (n_vector, n_loads, n_stores, bytes_loaded, bytes_stored,
               class_busy)
     # publish the mix so Program.classify_vector_mix becomes O(1)
     program._vector_mix_cache = (n, mix)
     return CompiledTrace(n, info, addr_col, size_col, deps, dependents, mix,
                          mem_index, mem_addr, mem_size, mem_write,
-                         fu_bound=fu_bound, totals=totals)
+                         totals=totals)
 
 
 _COMPILED_ATTR = "_compiled_traces"

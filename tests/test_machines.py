@@ -288,6 +288,18 @@ class TestValidation:
         data["caches"][0]["line_bytes"] = 48  # size not divisible
         self.expect_error(data, "cache level 0", "not divisible")
 
+    def test_duplicate_cache_level_name(self):
+        """Per-level miss rates are keyed by name: two levels named
+        "l1" would silently collapse into one entry."""
+        data = self.base()
+        data["name"] = "twin-l1"
+        data["caches"][1]["name"] = data["caches"][0]["name"]
+        self.expect_error(data, "'twin-l1'", "repeated: l1")
+        spec = get_spec("sargantana")
+        with pytest.raises(MachineSpecError) as excinfo:
+            spec.derive(caches=(spec.caches[0], spec.caches[0]))
+        assert "repeated: l1" in str(excinfo.value)
+
     def test_missing_required_field(self):
         data = self.base()
         del data["frequency_ghz"]

@@ -1,7 +1,7 @@
 """Periodic steady-state replay: detection + bit-identical fast-forward.
 
 The replayer (:mod:`repro.simulator.period_replay`) is a pure
-acceleration layer under both windowed batch schedulers; every test
+acceleration layer under the windowed batch scheduler; every test
 here pins the contract that SimStats are identical scalar vs batch,
 replay on vs off, for traces long and regular enough that replay
 actually fires (the equivalence suite's traces are mostly too short to
@@ -13,7 +13,6 @@ from dataclasses import replace
 
 import pytest
 
-import repro.simulator.batch_pipeline as batch_pipeline
 from repro.gemm.api import make_driver
 from repro.isa.builder import ProgramBuilder
 from repro.isa.dtypes import DType
@@ -51,19 +50,14 @@ def looped_program(iterations=96, vector_length_bits=512, jitter_every=0):
     return builder.build()
 
 
-def run_forced(config, program, force, replay_on, monkeypatch, warm=()):
+def run_batch(config, program, replay_on, monkeypatch, warm=()):
     if replay_on:
         monkeypatch.delenv(period_replay._ENV_DISABLE, raising=False)
     else:
         monkeypatch.setenv(period_replay._ENV_DISABLE, "1")
-    old = batch_pipeline.FORCE_SCHEDULER
-    batch_pipeline.FORCE_SCHEDULER = force
-    try:
-        return PipelineSimulator(config).run(
-            program, warm_addresses=warm, engine="batch"
-        )
-    finally:
-        batch_pipeline.FORCE_SCHEDULER = old
+    return PipelineSimulator(config).run(
+        program, warm_addresses=warm, engine="batch"
+    )
 
 
 class TestDetection:
@@ -117,26 +111,23 @@ class TestDetection:
 
 
 class TestReplayEquivalence:
-    """Replay on == replay off == scalar, for every scheduler."""
+    """Replay on == replay off == scalar, on both machines."""
 
     @pytest.mark.parametrize("machine", ["a64fx", "sargantana"])
-    @pytest.mark.parametrize("force", ["scan", "event"])
     @pytest.mark.parametrize("jitter", [0, 4])
-    def test_forced_scheduler_periodic_trace(self, machine, force, jitter,
-                                             monkeypatch):
+    def test_periodic_trace(self, machine, jitter, monkeypatch):
         config = MACHINES[machine]()
         program = looped_program(
             iterations=128, vector_length_bits=config.vector_length_bits,
             jitter_every=jitter,
         )
         scalar = PipelineSimulator(config).run(program, engine="scalar")
-        on = run_forced(config, program, force, True, monkeypatch)
-        off = run_forced(config, program, force, False, monkeypatch)
+        on = run_batch(config, program, True, monkeypatch)
+        off = run_batch(config, program, False, monkeypatch)
         assert scalar == off
         assert scalar == on
 
-    @pytest.mark.parametrize("force", ["scan", "event"])
-    def test_replay_actually_fires(self, force, monkeypatch):
+    def test_replay_actually_fires(self, monkeypatch):
         """Guard against the suite silently testing a never-taken path."""
         config = a64fx_config()
         program = looped_program(iterations=256)
@@ -152,16 +143,16 @@ class TestReplayEquivalence:
         monkeypatch.setattr(
             period_replay.PeriodicReplayer, "_replay_chain", counting
         )
-        run_forced(config, program, force, True, monkeypatch)
+        run_batch(config, program, True, monkeypatch)
         assert fired, "periodic replay never committed on a looped trace"
 
-    @pytest.mark.parametrize("force", ["scan", "event"])
-    def test_sub_stride_period_accounting(self, force, monkeypatch):
+    def test_sub_stride_period_accounting(self, monkeypatch):
         """Structural period below MIN_STRIDE: the boundary stride (and
         any matched effective period) is a strict multiple of the
         period, so the fast-forward must account instructions by the
-        actual advance, not the structural period (regression: the
-        event scheduler hung with leftover ``remaining``)."""
+        actual advance, not the structural period (regression: a
+        scheduler that counted pending instructions by the structural
+        period hung with some left over)."""
         config = a64fx_config()
         builder = ProgramBuilder(name="half-line", vector_length_bits=512)
         acc = [vreg(i) for i in range(4)]
@@ -174,11 +165,10 @@ class TestReplayEquivalence:
                 builder.vmla(r, a, b, DType.INT32)
         program = builder.build()
         scalar = PipelineSimulator(config).run(program, engine="scalar")
-        on = run_forced(config, program, force, True, monkeypatch)
+        on = run_batch(config, program, True, monkeypatch)
         assert scalar == on
 
-    @pytest.mark.parametrize("force", ["scan", "event"])
-    def test_kernel_call_trace_with_replay(self, force, monkeypatch):
+    def test_kernel_call_trace_with_replay(self, monkeypatch):
         """Real micro-kernel traces (the fig17 hot path) stay identical."""
         driver = make_driver("gemmlowp", "a64fx")
         kc = driver.blocking.kc
@@ -187,8 +177,8 @@ class TestReplayEquivalence:
         scalar = PipelineSimulator(driver.config).run(
             program, warm_addresses=warm, engine="scalar"
         )
-        on = run_forced(driver.config, program, force, True, monkeypatch,
-                        warm=warm)
+        on = run_batch(driver.config, program, True, monkeypatch,
+                       warm=warm)
         assert scalar == on
 
     def test_small_window_machine(self, monkeypatch):
@@ -196,9 +186,8 @@ class TestReplayEquivalence:
         config = replace(a64fx_config(), window=8)
         program = looped_program(iterations=128)
         scalar = PipelineSimulator(config).run(program, engine="scalar")
-        for force in ("scan", "event"):
-            on = run_forced(config, program, force, True, monkeypatch)
-            assert scalar == on
+        on = run_batch(config, program, True, monkeypatch)
+        assert scalar == on
 
     def test_disabled_by_env(self, monkeypatch):
         monkeypatch.setenv(period_replay._ENV_DISABLE, "1")

@@ -20,9 +20,7 @@ class TestCollector:
     def test_idle_by_default(self):
         with profiling.phase("schedule"):
             pass
-        profiling.note_scheduler("p", "scan")
-        snap = profiling.snapshot()
-        assert snap["phases"] == {} and snap["schedulers"] == {}
+        assert profiling.snapshot() == {"phases": {}}
 
     def test_profile_block_collects_and_deactivates(self):
         with profiling.profile():
@@ -30,12 +28,11 @@ class TestCollector:
                 pass
             with profiling.phase("schedule"):
                 pass
-            profiling.note_scheduler("kernel", "event")
         assert not profiling.enabled()
         snap = profiling.snapshot()
+        assert list(snap) == ["phases"]
         assert snap["phases"]["schedule"]["calls"] == 2
         assert snap["phases"]["schedule"]["seconds"] >= 0.0
-        assert snap["schedulers"] == {"kernel:event": 1}
         # entering a new block resets the previous numbers
         with profiling.profile():
             pass
@@ -48,22 +45,21 @@ class TestCollector:
                 program, engine="batch")
             PipelineSimulator(sargantana_config(camp_enabled=True)).run(
                 program, engine="batch")
-        snap = profiling.snapshot()
-        assert "schedule" in snap["phases"]
+        phases = profiling.snapshot()["phases"]
+        # one schedule region per run: a64fx's window scan, then
+        # sargantana's in-order direct issue
+        assert phases["schedule"]["calls"] == 2
         # sargantana is in-order: its bulk cache replay must show up
-        assert "memory replay" in snap["phases"]
-        chosen = {key.rsplit(":", 1)[1] for key in snap["schedulers"]}
-        assert "inorder" in chosen
-        assert chosen & {"scan", "event"}
+        assert "memory replay" in phases
 
     def test_render_mentions_every_phase(self):
         with profiling.profile():
             with profiling.phase("arbitration"):
                 pass
-            profiling.note_scheduler("pack-chunk", "inorder")
+            with profiling.phase("schedule"):
+                pass
         text = profiling.render()
-        assert "arbitration" in text
-        assert "pack-chunk" in text and "inorder" in text
+        assert "arbitration" in text and "schedule" in text
         # empty snapshot renders a hint, not a crash
         profiling.reset()
         assert "no engine phases" in profiling.render()

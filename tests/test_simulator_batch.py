@@ -2,8 +2,8 @@
 
 The batch engine must reproduce the scalar scoreboard bit-identically —
 cycles, stall attribution, FU busy counts, issue cycles and per-level
-cache miss-rate deltas — for every scheduler variant (in-order direct
-issue, window scan, event-driven window). The sweeps here cover both
+cache miss-rate deltas — for both schedulers (in-order direct issue
+and window scan). The sweeps here cover both
 evaluation machines over GEMM micro-kernel traces and randomized
 traces, window/chunk boundary shapes, store-buffer pressure, and
 unsupported-FU error parity; a hypothesis fuzzer explores the config x
@@ -18,7 +18,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.simulator.batch_pipeline as batch_pipeline
 from repro.gemm.api import make_driver
 from repro.isa.builder import ProgramBuilder
 from repro.isa.dtypes import DType
@@ -35,19 +34,14 @@ from repro.simulator.trace_compile import compile_trace, compiled_for
 MACHINES = {"a64fx": a64fx_config, "sargantana": sargantana_config}
 
 
-def run_both(config, program, warm=(), force=None):
+def run_both(config, program, warm=()):
     """Run scalar and batch engines on fresh simulators; return both stats."""
     scalar = PipelineSimulator(config).run(
         program, warm_addresses=warm, engine="scalar"
     )
-    old = batch_pipeline.FORCE_SCHEDULER
-    batch_pipeline.FORCE_SCHEDULER = force
-    try:
-        batch = PipelineSimulator(config).run(
-            program, warm_addresses=warm, engine="batch"
-        )
-    finally:
-        batch_pipeline.FORCE_SCHEDULER = old
+    batch = PipelineSimulator(config).run(
+        program, warm_addresses=warm, engine="batch"
+    )
     return scalar, batch
 
 
@@ -121,13 +115,16 @@ class TestGemmTraceEquivalence:
         scalar, batch = run_both(driver.config, program, warm)
         assert_identical(scalar, batch)
 
-    @pytest.mark.parametrize("force", ["scan", "event"])
-    def test_both_windowed_schedulers_on_ooo_gemm(self, force):
+    def test_window_scan_on_fu_saturated_ooo_gemm(self):
+        """gemmlowp on a64fx saturates a functional unit: the window
+        holds a long queue of ready instructions blocked on one busy
+        pool, which the scan revisits every cycle (sleep runs only skip
+        instructions still waiting on operands)."""
         driver = make_driver("gemmlowp", "a64fx")
         kc = min(driver.blocking.kc, 128)
         program = driver.kernel.build_call(kc, first_k_block=False)
         warm = list(driver.kernel.warm_addresses(kc))
-        scalar, batch = run_both(driver.config, program, warm, force=force)
+        scalar, batch = run_both(driver.config, program, warm)
         assert_identical(scalar, batch)
 
 
@@ -222,15 +219,18 @@ class TestUnsupportedInstructionParity:
         assert str(scalar_err.value) == str(batch_err.value)
 
     def test_forced_schedulers_raise_too(self):
-        config = a64fx_config(camp_enabled=False)
-        program = self.build_camp_program()
-        for force in ("scan", "event"):
-            batch_pipeline.FORCE_SCHEDULER = force
-            try:
-                with pytest.raises(UnsupportedInstructionError):
-                    PipelineSimulator(config).run(program, engine="batch")
-            finally:
-                batch_pipeline.FORCE_SCHEDULER = None
+        """The window decides the scheduler; swapping it on each machine
+        puts both schedulers on the other machine's FU mix, and both
+        must still raise the scalar engine's error."""
+        for machine, window in (("a64fx", 1), ("sargantana", 8)):
+            config = replace(MACHINES[machine](camp_enabled=False),
+                             window=window)
+            program = self.build_camp_program()
+            with pytest.raises(UnsupportedInstructionError) as scalar_err:
+                PipelineSimulator(config).run(program, engine="scalar")
+            with pytest.raises(UnsupportedInstructionError) as batch_err:
+                PipelineSimulator(config).run(program, engine="batch")
+            assert str(scalar_err.value) == str(batch_err.value)
 
     def test_missing_fu_latency_raises_keyerror_on_both_engines(self):
         """A config with units but no latency for a class must fail the

@@ -310,29 +310,22 @@ class TestEngineIndependence:
 
 
 class TestForcedSchedulerEquivalence:
-    """cores > 1 x every scheduler x both machines, arbitrated stats.
+    """cores > 1 x both batch schedulers x both machines, arbitrated stats.
 
     The shared-hierarchy arbitration consumes the isolated per-core
     runs, so the full MulticoreStats — contention folded in — must be
-    identical whichever batch scheduler produced them, and identical to
-    the scalar reference engine. a64fx (window 32) exercises the scan
-    and event schedulers; sargantana (window 1) the in-order direct
-    issue path.
+    identical to the scalar reference engine. a64fx (window 32)
+    exercises the window scan scheduler; sargantana (window 1) the
+    in-order direct issue path.
     """
 
-    def _multicore(self, config, program, warm, engine_name, force=None):
-        import repro.simulator.batch_pipeline as batch_pipeline
+    def _multicore(self, config, program, warm, engine_name):
         from repro.simulator.engine import engine
 
-        old = batch_pipeline.FORCE_SCHEDULER
-        batch_pipeline.FORCE_SCHEDULER = force
-        try:
-            with engine(engine_name):
-                return run_multicore(
-                    config, [program] * 4, warm_addresses=[warm] * 4
-                )
-        finally:
-            batch_pipeline.FORCE_SCHEDULER = old
+        with engine(engine_name):
+            return run_multicore(
+                config, [program] * 4, warm_addresses=[warm] * 4
+            )
 
     @staticmethod
     def _key(outcome):
@@ -343,13 +336,12 @@ class TestForcedSchedulerEquivalence:
             outcome.llc_hit_rate,
         )
 
-    @pytest.mark.parametrize("force", ["scan", "event"])
-    def test_windowed_schedulers_match_scalar_a64fx(self, force):
+    def test_windowed_schedulers_match_scalar_a64fx(self):
         config = a64fx_config(camp_enabled=True)
         program, warm = kernel_program(config)
         reference = self._multicore(config, program, warm, "scalar")
-        forced = self._multicore(config, program, warm, "batch", force)
-        assert self._key(forced) == self._key(reference)
+        batch = self._multicore(config, program, warm, "batch")
+        assert self._key(batch) == self._key(reference)
 
     def test_inorder_matches_scalar_sargantana(self):
         config = sargantana_config(camp_enabled=True)

@@ -3,8 +3,8 @@
 Covers the content-addressed key components (program / machine /
 compile-source digests), the checksummed on-disk record format and its
 corruption handling, bit-identical SimStats across every cache path
-(cold compile, cache disabled, warm-from-disk, warm-from-memory, all
-batch schedulers), the machine-independence of the vector-mix
+(cold compile, cache disabled, warm-from-disk, warm-from-memory), the
+machine-independence of the vector-mix
 classification, concurrent-writer atomicity, and the maintenance
 surface (``disk_stats`` / ``prune``).
 """
@@ -15,7 +15,6 @@ import threading
 
 import pytest
 
-import repro.simulator.batch_pipeline as batch_pipeline
 from repro.isa.dtypes import DType
 from repro.isa.builder import ProgramBuilder
 from repro.isa.registers import vreg, xreg
@@ -193,21 +192,11 @@ class TestCachePaths:
         )
         assert cold == disabled == warm_disk == warm_memory == scalar
 
-    @pytest.mark.parametrize("force", ["scan", "event"])
-    def test_cached_trace_identical_under_forced_schedulers(
-        self, cache_on, force
-    ):
+    def test_cached_trace_identical_under_window_scan(self, cache_on):
         config = a64fx_config(camp_enabled=True)
         compiled_for(build_program(), config)  # populate the disk tier
         trace_cache.clear_memory()
-        old = batch_pipeline.FORCE_SCHEDULER
-        batch_pipeline.FORCE_SCHEDULER = force
-        try:
-            warm = PipelineSimulator(config).run(
-                build_program(), engine="batch"
-            )
-        finally:
-            batch_pipeline.FORCE_SCHEDULER = old
+        warm = PipelineSimulator(config).run(build_program(), engine="batch")
         assert trace_cache.stats()["disk_hits"] >= 1
         scalar = PipelineSimulator(config).run(
             build_program(), engine="scalar"
