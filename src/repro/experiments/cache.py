@@ -35,23 +35,41 @@ _source_digests = {}  # root -> (tree fingerprint, digest)
 
 
 def _tree_files(root):
-    for path in sorted(root.rglob("*.py")):
-        if "__pycache__" in path.parts:
-            continue
-        yield path
+    """``(relative path, absolute path)`` of every .py file under ``root``.
 
-
-def _tree_fingerprint(root):
-    """Cheap (stat-only) change detector for the memoized tree digest."""
-    fingerprint = []
-    for path in _tree_files(root):
+    One ``os.scandir`` pass that skips ``__pycache__`` and does not
+    follow symlinked directories, ordered like ``sorted(root.rglob("*.py"))``
+    on POSIX: by path-component tuple, not by joined string, so
+    ``a.py`` < ``a/b.py`` < ``a_b.py``.
+    """
+    found = []
+    pending = [(os.fspath(root), ())]
+    while pending:
+        directory, parts = pending.pop()
         try:
-            stat = path.stat()
+            entries = os.scandir(directory)
         except OSError:
             continue
-        fingerprint.append(
-            (str(path.relative_to(root)), stat.st_mtime_ns, stat.st_size)
-        )
+        with entries:
+            for entry in entries:
+                if entry.is_dir(follow_symlinks=False):
+                    if entry.name != "__pycache__":
+                        pending.append((entry.path, parts + (entry.name,)))
+                elif entry.name.endswith(".py"):
+                    found.append((parts + (entry.name,), entry.path))
+    found.sort()
+    return [(os.sep.join(parts), path) for parts, path in found]
+
+
+def _tree_fingerprint(files):
+    """Cheap (stat-only) change detector for the memoized tree digest."""
+    fingerprint = []
+    for relative, path in files:
+        try:
+            stat = os.stat(path)
+        except OSError:
+            continue
+        fingerprint.append((relative, stat.st_mtime_ns, stat.st_size))
     return tuple(fingerprint)
 
 
@@ -59,22 +77,24 @@ def source_digest(root=None):
     """Sha256 over every .py file under ``root`` (path and content).
 
     Memoized per process behind an mtime/size fingerprint that is
-    re-checked on every call: a bare per-process memo served cache keys
-    against a dead digest once source files changed under a long-lived
-    process (editable installs, a future ``repro serve`` daemon). A
-    fingerprint mismatch — file edited, added, removed or renamed —
-    re-hashes the tree.
+    re-checked on every call — one ``os.scandir`` walk plus one
+    ``os.stat`` per file, no file reads — so a long-lived process
+    (editable install, ``repro serve`` daemon) never keys against a
+    dead digest. A fingerprint mismatch — file edited, added, removed
+    or renamed — re-hashes the files of that same listing.
     """
     root = Path(root) if root is not None else SOURCE_ROOT
-    fingerprint = _tree_fingerprint(root)
+    files = _tree_files(root)
+    fingerprint = _tree_fingerprint(files)
     cached = _source_digests.get(root)
     if cached is not None and cached[0] == fingerprint:
         return cached[1]
     digest = hashlib.sha256()
-    for path in _tree_files(root):
-        digest.update(str(path.relative_to(root)).encode())
+    for relative, path in files:
+        digest.update(relative.encode())
         digest.update(b"\0")
-        digest.update(path.read_bytes())
+        with open(path, "rb") as handle:
+            digest.update(handle.read())
         digest.update(b"\0")
     _source_digests[root] = (fingerprint, digest.hexdigest())
     return _source_digests[root][1]

@@ -237,43 +237,48 @@ def machine_digest(config):
 
 
 _source_memo = None  # (fingerprint, digest)
+_compile_files = None  # absolute path strings, resolved once per process
 
 
 def _compile_source_files():
-    from repro.isa import instructions
-    from repro.simulator import trace_compile
+    global _compile_files
+    if _compile_files is None:
+        from repro.isa import instructions
+        from repro.simulator import trace_compile
 
-    return (
-        Path(trace_compile.__file__),
-        Path(__file__),
-        Path(instructions.__file__),
-    )
+        _compile_files = tuple(
+            os.path.abspath(path)
+            for path in (trace_compile.__file__, __file__, instructions.__file__)
+        )
+    return _compile_files
 
 
 def compile_source_digest():
     """Sha256 over the sources that define compiled-trace semantics.
 
     Covers the trace compiler, this module, and the ISA opcode tables.
-    Memoized behind a cheap mtime/size fingerprint that is re-checked
-    on every call, so an editable-install edit (or a long-lived daemon
-    outliving a deploy) invalidates the memo instead of serving records
-    keyed to dead source.
+    The file paths are resolved once per process; the memo sits behind
+    a cheap mtime/size fingerprint (one ``os.stat`` per file) that is
+    re-checked on every call, so an editable-install edit (or a
+    long-lived daemon outliving a deploy) invalidates the memo instead
+    of serving records keyed to dead source.
     """
     global _source_memo
     files = _compile_source_files()
     fingerprint = []
     for path in files:
-        stat = path.stat()
-        fingerprint.append((str(path), stat.st_mtime_ns, stat.st_size))
+        stat = os.stat(path)
+        fingerprint.append((path, stat.st_mtime_ns, stat.st_size))
     fingerprint = tuple(fingerprint)
     memo = _source_memo
     if memo is not None and memo[0] == fingerprint:
         return memo[1]
     digest = hashlib.sha256()
     for path in files:
-        digest.update(path.name.encode())
+        digest.update(os.path.basename(path).encode())
         digest.update(b"\0")
-        digest.update(path.read_bytes())
+        with open(path, "rb") as handle:
+            digest.update(handle.read())
         digest.update(b"\0")
     hexdigest = digest.hexdigest()
     _source_memo = (fingerprint, hexdigest)

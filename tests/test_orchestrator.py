@@ -1,6 +1,9 @@
 """Tests for the experiment orchestrator, result cache and artifacts."""
 
+import builtins
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -132,6 +135,66 @@ class TestCache:
         # revalidation), they do not re-hash into a new entry
         assert source_digest(tree) == first
         assert cache_module._source_digests[tree] == (fingerprint, digest)
+
+    @staticmethod
+    def _ordering_trap_tree(tmp_path):
+        tree = tmp_path / "pkg"
+        (tree / "a" / "sub").mkdir(parents=True)
+        (tree / "__pycache__").mkdir()
+        (tree / "a" / "__pycache__").mkdir()
+        (tree / "a.py").write_text("a = 1\n")
+        (tree / "a" / "b.py").write_text("b = 2\n")
+        (tree / "a" / "sub" / "deep.py").write_text("deep = 3\n")
+        (tree / "a_b.py").write_text("a_b = 4\n")
+        (tree / "A.py").write_text("A = 5\n")
+        (tree / "__pycache__" / "x.py").write_text("skipped\n")
+        (tree / "a" / "__pycache__" / "y.py").write_text("skipped\n")
+        (tree / "notes.txt").write_text("not python\n")
+        return tree
+
+    def test_source_digest_matches_rglob_reference(self, tmp_path):
+        tree = self._ordering_trap_tree(tmp_path)
+        # the pathlib recipe the scandir walk replaces: component-wise
+        # sort, so "a.py" < "a/b.py" < "a_b.py" (a joined-string sort
+        # would put "a/b.py" first)
+        reference = hashlib.sha256()
+        for path in sorted(tree.rglob("*.py")):
+            if "__pycache__" in path.parts:
+                continue
+            reference.update(str(path.relative_to(tree)).encode())
+            reference.update(b"\0")
+            reference.update(path.read_bytes())
+            reference.update(b"\0")
+        assert source_digest(tree) == reference.hexdigest()
+
+    def test_source_digest_sees_nested_edit_delete_and_rename(self, tmp_path):
+        tree = self._ordering_trap_tree(tmp_path)
+        seen = [source_digest(tree)]
+        (tree / "a" / "sub" / "deep.py").write_text("deep = 33\n")
+        seen.append(source_digest(tree))
+        (tree / "a_b.py").unlink()
+        seen.append(source_digest(tree))
+        (tree / "a" / "b.py").rename(tree / "a" / "c.py")
+        seen.append(source_digest(tree))
+        assert len(set(seen)) == len(seen)
+
+    def test_warm_source_digest_reads_no_file_content(self, tmp_path,
+                                                      monkeypatch):
+        tree = self._ordering_trap_tree(tmp_path)
+        first = source_digest(tree)
+
+        def no_reads(*args, **kwargs):
+            raise AssertionError("warm revalidation read file content")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(builtins, "open", no_reads)
+            patch.setattr(Path, "read_bytes", no_reads)
+            # stat-only revalidation: the warm repeat never opens a file
+            assert source_digest(tree) == first
+            # ...while a changed tree does re-read, so the patch bites
+            (tree / "a.py").write_text("a = 11\n")
+            with pytest.raises(AssertionError, match="read file content"):
+                source_digest(tree)
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)

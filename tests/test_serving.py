@@ -232,6 +232,26 @@ class TestSingleFlight:
         assert service.counters["computes"] == 1
         assert service.counters["memo_hits"] == 1
 
+    def test_source_edit_is_never_served_stale(self, tmp_path, monkeypatch):
+        from repro.experiments import cache as cache_module
+
+        tree = tmp_path / "repro"
+        (tree / "sub").mkdir(parents=True)
+        (tree / "__init__.py").write_text("")
+        (tree / "sub" / "module.py").write_text("value = 1\n")
+        monkeypatch.setattr(cache_module, "SOURCE_ROOT", tree)
+        service = SimulationService(journal_sweeps=False)
+        payload = json.loads(GemmRequest(m=8, n=8, k=8).to_json())
+        service.handle(dict(payload))
+        service.handle(dict(payload))
+        assert service.counters["computes"] == 1
+        assert service.counters["memo_hits"] == 1
+        # every request re-checks the tree, so a nested edit re-keys it
+        (tree / "sub" / "module.py").write_text("value = 22\n")
+        service.handle(dict(payload))
+        assert service.counters["computes"] == 2
+        assert service.counters["memo_hits"] == 1
+
 
 @pytest.fixture()
 def live_server():

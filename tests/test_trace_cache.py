@@ -117,6 +117,20 @@ class TestKeyComponents:
         assert (trace_cache.compile_source_digest()
                 == trace_cache.compile_source_digest())
 
+    def test_compile_source_digest_tracks_file_edits(self, tmp_path,
+                                                     monkeypatch):
+        files = []
+        for name in ("trace_compile.py", "trace_cache.py", "instructions.py"):
+            path = tmp_path / name
+            path.write_text("%s = 1\n" % name[:-3])
+            files.append(str(path))
+        monkeypatch.setattr(trace_cache, "_compile_files", tuple(files))
+        monkeypatch.setattr(trace_cache, "_source_memo", None)
+        before = trace_cache.compile_source_digest()
+        assert trace_cache.compile_source_digest() == before
+        (tmp_path / "instructions.py").write_text("instructions = 22\n")
+        assert trace_cache.compile_source_digest() != before
+
     def test_cache_root_tracks_result_cache_dir(self, monkeypatch, tmp_path):
         from repro.experiments.cache import default_cache_dir
 
