@@ -653,217 +653,31 @@ def _cmd_serve(args):
     return 0
 
 
-def _cmd_bench_analytic(args):
-    from repro.experiments import bench_analytic
-
-    payload = bench_analytic.run_bench(fast=not args.full, jobs=args.jobs)
-    accuracy = payload["accuracy"]
-    print(
-        "model accuracy (%d points): p95 %.2f%% | max %.2f%% | band "
-        "p95<=%.0f%% cap %.0f%% | within band: %s"
-        % (payload["grid"]["points"], 100 * accuracy["p95_rel_error"],
-           100 * accuracy["max_rel_error"], 100 * accuracy["p95_band"],
-           100 * accuracy["point_cap"], accuracy["within_band"])
-    )
-    predict = payload["predict"]
-    print(
-        "cold calibration: %.3fs (%d pairs) | warm predict %.4gs/shape vs "
-        "cold simulate %.4gs/shape (%.0fx)"
-        % (payload["calibrate_s"], len(payload["grid"]["pairs"]),
-           predict["model_per_shape_s"], predict["sim_per_shape_s"],
-           predict["speedup"])
-    )
-    if args.out:
-        path = bench_analytic.write_bench(payload, args.out)
-        print("wrote %s" % path)
-    if args.check:
-        baseline = json.loads(open(args.check).read())
-        problems = bench_analytic.check_regression(
-            payload, baseline,
-            min_predict_speedup=args.min_predict_speedup,
-        )
-        for problem in problems:
-            print("ANALYTIC GATE: %s" % problem, file=sys.stderr)
-        if problems:
-            return 1
-        print("analytic gate passed (accuracy within band, predictions "
-              ">= %.0fx faster than simulation)" % args.min_predict_speedup)
-    return 0
-
-
 def _cmd_bench(args):
-    from repro.experiments import bench_pipeline
+    import importlib
 
-    payload = bench_pipeline.run_bench(
-        repeats=args.repeats, fast=args.fast, jobs=args.jobs
-    )
-    for name, entry in payload["engine_comparison"].items():
-        print(
-            "%-6s scalar best %.3fs | batch best %.3fs | speedup %.2fx "
-            "(median %.2fx) | records identical: %s"
-            % (name, entry["scalar"]["best_s"], entry["batch"]["best_s"],
-               entry["speedup_best"], entry["speedup_median"],
-               entry["records_identical"])
-        )
-    suite = payload["fast_suite"]
-    print("fast suite: cold %.3fs, warm %.3fs (%d cache hits)"
-          % (suite["cold_s"], suite["warm_s"], suite["warm_cache_hits"]))
-    trace = payload["trace_cache"]
-    print("trace cache: cold compile %.3fs, warm load %.3fs (%.1fx, "
-          "%d instructions) | traces identical: %s"
-          % (trace["cold_s"], trace["warm_s"], trace["speedup_best"],
-             trace["instructions"], trace["identical"]))
-    fanout = trace.get("worker_fanout")
-    if fanout:
-        print("worker fan-out: %d points x %d cores (jobs %d) | worker "
-              "compiles %d | warm parent compiles %d (disk hits %d)"
-              % (fanout["points"], fanout["cores"], fanout["jobs"],
-                 fanout["worker_compiles"],
-                 fanout["warm"]["parent_compiles"],
-                 fanout["warm"]["parent_disk_hits"]))
+    from repro.experiments import bench
+
+    name = args.command[len("bench-"):]
+    module = importlib.import_module("repro.experiments.bench_" + name)
+    payload = module.run_bench(**{
+        key: value for key, value in vars(args).items()
+        if key not in ("command", "out", "check")
+    })
+    rows = bench.rows(name, payload)
+    for row in rows:
+        print(row)
     if args.out:
-        path = bench_pipeline.write_bench(payload, args.out)
-        print("wrote %s" % path)
+        print("wrote %s" % bench.write(payload, args.out))
     if args.check:
         baseline = json.loads(open(args.check).read())
-        problems = bench_pipeline.check_regression(
-            payload, baseline, max_warm_ratio=args.max_warm_regression,
-            min_compile_speedup=args.min_compile_speedup,
-            min_batch_speedup=args.min_batch_speedup or None,
-        )
+        problems = bench.check(name, payload, baseline)
         for problem in problems:
-            print("PERF REGRESSION: %s" % problem, file=sys.stderr)
+            print("%s GATE: %s" % (args.command, problem), file=sys.stderr)
         if problems:
             return 1
-        print("perf gate passed (warm rerun within %.1fx of baseline, "
-              "trace cache >= %.1fx, batch >= %.1fx on %s)"
-              % (args.max_warm_regression, args.min_compile_speedup,
-                 args.min_batch_speedup,
-                 bench_pipeline.ACCEPTANCE_EXPERIMENT))
-    return 0
-
-
-def _cmd_bench_multicore(args):
-    from repro.experiments import bench_multicore
-
-    payload = bench_multicore.run_bench(repeats=args.repeats)
-    scaling = payload["scaling"]
-    print(
-        "multi-core point (%s, %d^3, %d cores): best %.3fs | median %.3fs | "
-        "deterministic: %s"
-        % (scaling["point"]["method"], scaling["point"]["size"],
-           scaling["point"]["cores"], scaling["best_s"], scaling["median_s"],
-           scaling["deterministic"])
-    )
-    print("fast multicore ablation: cold %.3fs"
-          % payload["ablation_fast"]["cold_s"])
-    if args.out:
-        path = bench_multicore.write_bench(payload, args.out)
-        print("wrote %s" % path)
-    if args.check:
-        baseline = json.loads(open(args.check).read())
-        problems = bench_multicore.check_regression(
-            payload, baseline, max_ratio=args.max_regression
-        )
-        for problem in problems:
-            print("PERF REGRESSION: %s" % problem, file=sys.stderr)
-        if problems:
-            return 1
-        print("multi-core perf gate passed (within %.1fx of baseline)"
-              % args.max_regression)
-    return 0
-
-
-def _cmd_bench_sweep(args):
-    from repro.experiments import bench_sweep
-
-    grid = {}
-    try:
-        if args.sizes:
-            grid["sizes"] = int_list(args.sizes)
-        if args.cores:
-            grid["core_counts"] = int_list(args.cores)
-    except ValueError as error:
-        print("bad bench grid: %s" % error, file=sys.stderr)
-        return 2
-    if args.methods:
-        grid["methods"] = tuple(m for m in args.methods.split(",") if m)
-    payload = bench_sweep.run_bench(repeats=args.repeats, grid=grid or None)
-    print(
-        "sweep bench (%d points): cold %.3fs | warm %.3fs (%.1fx) | "
-        "resumed %.3fs (recomputed %d, replayed %d) | identical: %s"
-        % (payload["points_total"], payload["cold_s"], payload["warm_s"],
-           payload["warm_speedup"], payload["resume_s"],
-           payload["resume_recomputed"], payload["resume_replayed"],
-           payload["warm_identical"] and payload["resume_identical"])
-    )
-    trace = payload["trace_cache"]
-    print("trace cache: cold compile %.3fs, warm load %.3fs (%.1fx, "
-          "%d instructions) | traces identical: %s"
-          % (trace["cold_s"], trace["warm_s"], trace["speedup_best"],
-             trace["instructions"], trace["identical"]))
-    if args.out:
-        path = bench_sweep.write_bench(payload, args.out)
-        print("wrote %s" % path)
-    if args.check:
-        baseline = json.loads(open(args.check).read())
-        problems = bench_sweep.check_regression(
-            payload, baseline, min_warm_speedup=args.min_warm_speedup,
-            min_compile_speedup=args.min_compile_speedup,
-        )
-        for problem in problems:
-            print("PERF REGRESSION: %s" % problem, file=sys.stderr)
-        if problems:
-            return 1
-        print("sweep perf gate passed (warm >= %.1fx faster, resume exact, "
-              "trace cache >= %.1fx)"
-              % (args.min_warm_speedup, args.min_compile_speedup))
-    return 0
-
-
-def _cmd_bench_serve(args):
-    from repro.experiments import bench_serve
-
-    payload = bench_serve.run_bench(
-        warm_requests=args.warm_requests, concurrency=args.concurrency,
-        cli_repeats=args.repeats,
-    )
-    warm = payload["warm"]
-    print(
-        "one-shot CLI %.3fs | daemon cold-start %.3fs, first request %.3fs"
-        % (payload["cli_one_shot_s"], payload["cold_start_s"],
-           payload["first_request_s"])
-    )
-    print(
-        "warm served (%d requests): p50 %.4gs p99 %.4gs | %.0f req/s | "
-        "%.0fx one-shot CLI | byte-identical: %s"
-        % (warm["requests"], warm["p50_s"], warm["p99_s"],
-           warm["requests_per_s"], warm["speedup_p50"],
-           payload["byte_identical"])
-    )
-    dedup = payload["dedup"]
-    print(
-        "single-flight: %d concurrent identical sweeps -> %d compute(s), "
-        "%d coalesced (hit rate %.2f), %d points computed"
-        % (dedup["concurrency"], dedup["computes"],
-           dedup["followers"] + dedup["memo_hits"], dedup["hit_rate"],
-           dedup["points_computed"])
-    )
-    if args.out:
-        path = bench_serve.write_bench(payload, args.out)
-        print("wrote %s" % path)
-    if args.check:
-        baseline = json.loads(open(args.check).read())
-        problems = bench_serve.check_regression(
-            payload, baseline, min_warm_speedup=args.min_warm_speedup,
-        )
-        for problem in problems:
-            print("SERVE GATE: %s" % problem, file=sys.stderr)
-        if problems:
-            return 1
-        print("serve gate passed (warm p50 >= %.0fx one-shot CLI, "
-              "responses byte-identical, single-flight dedup exact)"
-              % args.min_warm_speedup)
+        print("%s gate passed (%d checks against %s)"
+              % (args.command, len(rows), args.check))
     return 0
 
 
@@ -955,96 +769,41 @@ def _opt(*flags, **kwargs):
     return flags, kwargs
 
 
-#: the shared bench-* option table: every bench subcommand gets its
-#: extra options from here plus the common --out/--check pair, so the
-#: five commands stay declaratively in one place
+#: the bench-* commands: the options beyond --out/--check (and
+#: --repeats, when the command has a default for it) are handed to
+#: ``repro.experiments.bench_<name>.run_bench`` as keyword arguments
 _BENCH_COMMANDS = {
     "bench-pipeline": {
         "help": "benchmark the pipeline engines, write BENCH_pipeline.json",
-        "out": "BENCH_pipeline.json",
-        "run": _cmd_bench,
+        "repeats": 3,
         "options": (
-            _opt("--repeats", type=int, default=3,
-                 help="cold runs per engine per experiment"),
             _opt("--fast", action="store_true",
                  help="use the experiments' fast variants"),
-            _opt("--jobs", type=int, default=1,
-                 help="workers for the orchestrated suite pass"),
-            _opt("--max-warm-regression", type=float, default=3.0,
-                 help="allowed warm-rerun slowdown vs baseline"),
-            _opt("--min-compile-speedup", type=float, default=2.0,
-                 help="required cold-compile/warm-load ratio for the "
-                      "compiled-trace cache"),
-            _opt("--min-batch-speedup", type=float, default=8.0,
-                 help="required batch-vs-scalar median speedup on the "
-                      "acceptance experiment (fig17); 0 disables"),
         ),
     },
     "bench-multicore": {
         "help": "benchmark the multi-core subsystem, write "
                 "BENCH_multicore.json",
-        "out": "BENCH_multicore.json",
-        "run": _cmd_bench_multicore,
-        "options": (
-            _opt("--repeats", type=int, default=3,
-                 help="cold runs of the scaling point (min 2)"),
-            _opt("--max-regression", type=float, default=3.0,
-                 help="allowed cold-run slowdown vs baseline"),
-        ),
+        "repeats": 3,
     },
     "bench-sweep": {
         "help": "benchmark cold vs warm vs resumed sweeps, write "
                 "BENCH_sweep.json",
-        "out": "BENCH_sweep.json",
-        "run": _cmd_bench_sweep,
-        "options": (
-            _opt("--repeats", type=int, default=1,
-                 help="cold sweeps to time (best is kept)"),
-            _opt("--sizes", default="",
-                 help="override the benchmark grid's square sizes"),
-            _opt("--methods", default="",
-                 help="override the benchmark grid's methods"),
-            _opt("--cores", default="",
-                 help="override the benchmark grid's core counts"),
-            _opt("--min-warm-speedup", type=float, default=5.0,
-                 help="required cold/warm wall-time ratio"),
-            _opt("--min-compile-speedup", type=float, default=2.0,
-                 help="required cold-compile/warm-load ratio for the "
-                      "compiled-trace cache"),
-        ),
+        "repeats": 1,
     },
     "bench-analytic": {
         "help": "measure analytic-model accuracy and speed, write "
                 "BENCH_analytic.json",
-        "out": "BENCH_analytic.json",
-        "run": _cmd_bench_analytic,
         "options": (
             _opt("--full", action="store_true",
                  help="run the full accuracy grid (nightly) instead of "
                       "the fast one"),
-            _opt("--jobs", type=int, default=1,
-                 help="worker processes for calibration"),
-            _opt("--min-predict-speedup", type=float, default=100.0,
-                 help="required warm-prediction vs cold-simulation "
-                      "per-shape speedup"),
         ),
     },
     "bench-serve": {
         "help": "benchmark the serving daemon vs the one-shot CLI, write "
                 "BENCH_serve.json",
-        "out": "BENCH_serve.json",
-        "run": _cmd_bench_serve,
-        "options": (
-            _opt("--repeats", type=int, default=3,
-                 help="one-shot CLI subprocess runs (best is kept)"),
-            _opt("--warm-requests", type=int, default=40,
-                 help="warm requests timed for p50/p99"),
-            _opt("--concurrency", type=int, default=8,
-                 help="threads posting the identical sweep for the "
-                      "single-flight check"),
-            _opt("--min-warm-speedup", type=float, default=20.0,
-                 help="required one-shot-CLI / warm-served-p50 ratio"),
-        ),
+        "repeats": 3,
     },
 }
 
@@ -1163,9 +922,15 @@ def build_parser():
 
     for name, spec in _BENCH_COMMANDS.items():
         bench = sub.add_parser(name, help=spec["help"])
-        for flags, kwargs in spec["options"]:
+        for flags, kwargs in spec.get("options", ()):
             bench.add_argument(*flags, **kwargs)
-        bench.add_argument("--out", default=spec["out"],
+        if "repeats" in spec:
+            bench.add_argument("--repeats", type=int,
+                               default=spec["repeats"],
+                               help="timed runs per measurement (best is "
+                                    "kept)")
+        bench.add_argument("--out",
+                           default="BENCH_%s.json" % name[len("bench-"):],
                            help="output JSON path ('' to skip writing)")
         bench.add_argument("--check", metavar="BASELINE",
                            help="compare against a committed baseline JSON "
@@ -1183,7 +948,7 @@ _COMMANDS = {
     "calibrate": _cmd_calibrate,
     "serve": _cmd_serve,
     "cache": _cmd_cache,
-    **{name: spec["run"] for name, spec in _BENCH_COMMANDS.items()},
+    **{name: _cmd_bench for name in _BENCH_COMMANDS},
 }
 
 

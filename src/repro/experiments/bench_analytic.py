@@ -1,38 +1,23 @@
-"""Analytic-model bench harness (``repro-camp bench-analytic``).
+"""Analytic-model benchmark (``repro-camp bench-analytic``).
 
-Produces ``BENCH_analytic.json``, the committed baseline behind the CI
-``analytic-accuracy`` gate. Three sections:
+Produces ``BENCH_analytic.json``, gated by the ``analytic`` rows of
+:data:`repro.experiments.bench.GATES` (the CI ``analytic-accuracy``
+job), all measured in a scratch cache so every calibration is cold:
 
-- **accuracy** — the ``model-accuracy`` experiment's fast grid (every
-  registered machine), summarized as p95 / max relative cycle error
-  against the documented band
+- **accuracy** — the ``model-accuracy`` experiment's grid summarized
+  as p95 / max relative cycle error against the documented band
   (:data:`repro.experiments.exp_model_accuracy.P95_BAND` /
-  :data:`~repro.experiments.exp_model_accuracy.POINT_CAP`). The gate
-  fails when the band is exceeded — the analytic backend's accuracy
-  contract, enforced on every push.
-- **calibrate** — wall time of cold-calibrating every (machine, method)
-  pair the grid needs, in a scratch coefficient store.
-- **predict** — per-shape wall time of a *warm* (calibrated) analytic
-  prediction vs a cold cycle-level simulation of the same shape. The
-  gate fails when the model is less than
-  :data:`MIN_PREDICT_SPEEDUP` x faster — the whole point of a
-  closed-form model is that it is orders of magnitude cheaper.
-
-Everything runs in a scratch cache directory (``$REPRO_CACHE_DIR`` is
-redirected, and the in-process model registry is reset), so benching
-never touches the user's real coefficient store.
+  :data:`~repro.experiments.exp_model_accuracy.POINT_CAP`);
+- **calibrate** — wall time of cold-calibrating every (machine,
+  method) pair the grid needs;
+- **predict** — per-shape wall time of a warm analytic prediction vs a
+  cold cycle-level simulation of the same shape: a closed-form model
+  must be orders of magnitude cheaper.
 """
 
-import json
-import os
 import platform
-import tempfile
-import time
-from contextlib import contextmanager
-from pathlib import Path
 
-#: required warm-prediction vs cold-simulation per-shape speedup
-MIN_PREDICT_SPEEDUP = 100.0
+from repro.experiments.bench import scratch_cache, timed
 
 #: shapes for the predict-vs-simulate timing — off both the kc probe
 #: ladder anchors and the multicore calibration sizes
@@ -44,35 +29,6 @@ PREDICT_PAIRS = (("a64fx", "camp8"), ("a64fx", "openblas-fp32"))
 #: warm predictions per shape when timing the analytic side (single
 #: predictions are far below timer resolution)
 PREDICT_REPEATS = 200
-
-#: absolute floor for the calibrate-time gate: below this, ratios
-#: measure scheduler noise rather than a regression
-CALIBRATE_FLOOR_S = 1.0
-
-
-@contextmanager
-def _scratch_cache():
-    """A throwaway cache root exported as ``$REPRO_CACHE_DIR``.
-
-    The analytic coefficient store resolves its directory beside the
-    result cache, so redirecting the variable (plus resetting the
-    in-process model registry) makes every calibration in here cold
-    and keeps bench coefficients out of the user's real store.
-    """
-    from repro.analytic import reset_models
-
-    with tempfile.TemporaryDirectory(prefix="repro-bench-analytic-") as tmp:
-        previous = os.environ.get("REPRO_CACHE_DIR")
-        os.environ["REPRO_CACHE_DIR"] = tmp
-        reset_models()
-        try:
-            yield tmp
-        finally:
-            reset_models()
-            if previous is None:
-                os.environ.pop("REPRO_CACHE_DIR", None)
-            else:
-                os.environ["REPRO_CACHE_DIR"] = previous
 
 
 def _grid_pairs(fast=True):
@@ -87,43 +43,44 @@ def _grid_pairs(fast=True):
     return pairs
 
 
-def run_bench(repeats=1, fast=True, jobs=1):
+def run_bench(full=False):
     """Full benchmark payload for ``BENCH_analytic.json``."""
     from repro.analytic import calibrate_machine, get_model
     from repro.experiments import exp_model_accuracy as exp
     from repro.gemm.api import make_driver
 
+    fast = not full
     pairs = _grid_pairs(fast)
-    with _scratch_cache():
-        # cold calibration of every pair the accuracy grid needs
-        start = time.perf_counter()
-        by_machine = {}
-        for machine, method in pairs:
-            by_machine.setdefault(machine, []).append(method)
+    by_machine = {}
+    for machine, method in pairs:
+        by_machine.setdefault(machine, []).append(method)
+
+    def calibrate():
         for machine, methods in by_machine.items():
-            calibrate_machine(machine, methods=methods, jobs=jobs)
-        calibrate_s = time.perf_counter() - start
+            calibrate_machine(machine, methods=methods)
+
+    with scratch_cache():
+        calibration, _ = timed(calibrate)
 
         # accuracy grid (models now warm — this times nothing)
-        rows = exp.run(fast=fast)
-        summary = exp.band_summary(rows)
+        summary = exp.band_summary(exp.run(fast=fast))
 
         # warm predict vs cold simulate, per shape
         sim_s = 0.0
         model_s = 0.0
-        predictions = 0
         for machine, method in PREDICT_PAIRS:
             model = get_model(method, machine)
             for size in PREDICT_SHAPES:
-                start = time.perf_counter()
-                make_driver(method, machine).analyze(size, size, size)
-                sim_s += time.perf_counter() - start
-                start = time.perf_counter()
-                for _ in range(PREDICT_REPEATS):
+                sim, _ = timed(lambda: make_driver(method, machine).analyze(
+                    size, size, size))
+                sim_s += sim["best_s"]
+                predict, _ = timed(lambda: [
                     model.predict(size, size, size)
-                model_s += time.perf_counter() - start
-                predictions += PREDICT_REPEATS
+                    for _ in range(PREDICT_REPEATS)
+                ])
+                model_s += predict["best_s"]
     shapes_timed = len(PREDICT_PAIRS) * len(PREDICT_SHAPES)
+    predictions = shapes_timed * PREDICT_REPEATS
     sim_per_shape = sim_s / shapes_timed
     model_per_shape = model_s / predictions
     return {
@@ -142,7 +99,7 @@ def run_bench(repeats=1, fast=True, jobs=1):
             "point_cap": summary["point_cap"],
             "within_band": summary["within_band"],
         },
-        "calibrate_s": round(calibrate_s, 4),
+        "calibrate_s": calibration["best_s"],
         "predict": {
             "shapes": shapes_timed,
             "predictions": predictions,
@@ -151,56 +108,3 @@ def run_bench(repeats=1, fast=True, jobs=1):
             "speedup": round(sim_per_shape / max(model_per_shape, 1e-12), 1),
         },
     }
-
-
-def write_bench(payload, out_path):
-    path = Path(out_path)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=False) + "\n")
-    return path
-
-
-def check_regression(payload, baseline,
-                     min_predict_speedup=MIN_PREDICT_SPEEDUP,
-                     max_calibrate_ratio=3.0):
-    """Compare a fresh payload against the committed baseline.
-
-    Returns a list of human-readable problems (empty = gate passes):
-    the accuracy band (p95 within the pinned band, no point above the
-    hard cap), the warm-prediction speedup floor, and — when the
-    baseline carries one — a calibrate-time regression ratio.
-    """
-    problems = []
-    accuracy = payload["accuracy"]
-    if accuracy["p95_rel_error"] > accuracy["p95_band"]:
-        problems.append(
-            "model-accuracy p95 relative error %.2f%% exceeds the pinned "
-            "band of %.0f%%"
-            % (100 * accuracy["p95_rel_error"], 100 * accuracy["p95_band"])
-        )
-    if accuracy["max_rel_error"] > accuracy["point_cap"]:
-        problems.append(
-            "worst model-accuracy point is %.2f%% relative error, over the "
-            "hard cap of %.0f%%"
-            % (100 * accuracy["max_rel_error"], 100 * accuracy["point_cap"])
-        )
-    predict = payload["predict"]
-    if predict["speedup"] < min_predict_speedup:
-        problems.append(
-            "warm analytic prediction is only %.1fx faster than simulation "
-            "(%.4gs vs %.4gs per shape); the closed-form model should be "
-            ">= %.0fx"
-            % (predict["speedup"], predict["model_per_shape_s"],
-               predict["sim_per_shape_s"], min_predict_speedup)
-        )
-    base_calibrate = baseline.get("calibrate_s", 0) if baseline else 0
-    if base_calibrate > 0:
-        threshold = max(max_calibrate_ratio * base_calibrate,
-                        CALIBRATE_FLOOR_S)
-        if payload["calibrate_s"] > threshold:
-            problems.append(
-                "cold calibration took %.3fs, over the gate of %.3fs "
-                "(max(%.1fx committed baseline %.3fs, %.2fs floor))"
-                % (payload["calibrate_s"], threshold, max_calibrate_ratio,
-                   base_calibrate, CALIBRATE_FLOOR_S)
-            )
-    return problems

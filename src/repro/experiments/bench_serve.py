@@ -1,27 +1,20 @@
-"""Serving daemon bench harness (``repro-camp bench-serve``).
+"""Serving daemon benchmark (``repro-camp bench-serve``).
 
-Produces ``BENCH_serve.json``, the committed baseline behind the CI
-perf gate for the ``repro-camp serve`` daemon. Measured against a
-scratch cache (``$REPRO_CACHE_DIR`` redirected for the duration):
+Produces ``BENCH_serve.json``, gated by the ``serve`` rows of
+:data:`repro.experiments.bench.GATES`:
 
 - **One-shot CLI** — ``python -m repro.cli gemm ...`` in a fresh
-  subprocess, best of ``cli_repeats``: the full cold-start a process
-  pays per query (interpreter, imports, registry, driver build).
-- **Served** — the same request against a warm in-process daemon:
-  cold-start (build + warm-up) once, then the first request (the
-  compute), then ``warm_requests`` repeats whose latencies give warm
-  p50/p99 and requests/s. The headline gate is
-  ``speedup_p50 = one-shot CLI / warm p50 >= MIN_WARM_SPEEDUP`` — the
-  daemon must beat process cold-start by well over an order of
-  magnitude for the same request.
-- **Byte identity** — two warm responses must be byte-equal to each
-  other and to the canonical encoding of local execution through
-  :mod:`repro.serving.execute`; same-door or different-door, one
-  answer.
-- **Single-flight dedup** — ``concurrency`` threads post the same
-  sweep simultaneously; the service counters must show exactly one
-  compute, with every point computed once (the dedup hit rate in the
-  payload is followers / requests).
+  subprocess: the full cold start a process pays per query.
+- **Served** — the same request against an in-process daemon: its
+  cold start, the first request (the compute), then
+  :data:`WARM_REQUESTS` repeats whose latencies give warm p50/p99;
+  the daemon must beat the one-shot CLI by well over an order of
+  magnitude.
+- **Byte identity** — served responses must equal each other and the
+  canonical encoding of local execution through
+  :mod:`repro.serving.execute`.
+- **Single-flight dedup** — :data:`CONCURRENCY` threads post the same
+  sweep at once; the service counters must show exactly one compute.
 """
 
 import concurrent.futures
@@ -30,10 +23,9 @@ import os
 import platform
 import subprocess
 import sys
-import tempfile
-import time
-from contextlib import contextmanager
 from pathlib import Path
+
+from repro.experiments.bench import scratch_cache, timed
 
 #: the repeated query: small enough for CI, real cycle-level simulation
 BENCH_GEMM = {"m": 96, "n": 96, "k": 96, "method": "camp8",
@@ -43,33 +35,15 @@ BENCH_GEMM = {"m": 96, "n": 96, "k": 96, "method": "camp8",
 BENCH_SWEEP = {"sizes": (48, 64), "methods": ("camp8",),
                "machines": ("a64fx",)}
 
-#: required one-shot-CLI / warm-served-p50 ratio (the acceptance bar)
-MIN_WARM_SPEEDUP = 20.0
+#: warm requests timed for p50/p99
+WARM_REQUESTS = 40
+
+#: threads posting the identical sweep for the single-flight check
+CONCURRENCY = 8
 
 
-@contextmanager
-def _scratch_cache():
-    """A throwaway cache root, also exported as ``$REPRO_CACHE_DIR``."""
-    with tempfile.TemporaryDirectory(prefix="repro-bench-serve-") as tmp:
-        previous = os.environ.get("REPRO_CACHE_DIR")
-        os.environ["REPRO_CACHE_DIR"] = tmp
-        try:
-            yield tmp
-        finally:
-            if previous is None:
-                os.environ.pop("REPRO_CACHE_DIR", None)
-            else:
-                os.environ["REPRO_CACHE_DIR"] = previous
-
-
-def _percentile(values, q):
-    ordered = sorted(values)
-    index = min(len(ordered) - 1, max(0, round(q * (len(ordered) - 1))))
-    return ordered[index]
-
-
-def _time_cli(cache_dir, repeats):
-    """Best wall time of the one-shot CLI for the bench request."""
+def _cli_command(cache_dir):
+    """The one-shot CLI invocation of the bench request, and its env."""
     import repro
 
     src_root = str(Path(repro.__file__).resolve().parent.parent)
@@ -82,16 +56,10 @@ def _time_cli(cache_dir, repeats):
         str(BENCH_GEMM["m"]), str(BENCH_GEMM["n"]), str(BENCH_GEMM["k"]),
         "--method", BENCH_GEMM["method"], "--machine", BENCH_GEMM["machine"],
     ]
-    walls = []
-    for _ in range(max(1, repeats)):
-        start = time.perf_counter()
-        subprocess.run(command, check=True, env=env,
-                       stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-        walls.append(time.perf_counter() - start)
-    return min(walls)
+    return command, env
 
 
-def run_bench(warm_requests=40, concurrency=8, cli_repeats=3):
+def run_bench(repeats=3):
     """Full benchmark payload for ``BENCH_serve.json``."""
     from repro.serving import execute as serving_execute
     from repro.serving.requests import GemmRequest, SweepRequest
@@ -100,134 +68,70 @@ def run_bench(warm_requests=40, concurrency=8, cli_repeats=3):
     gemm_request = GemmRequest(**BENCH_GEMM)
     sweep_request = SweepRequest(**BENCH_SWEEP)
 
-    with _scratch_cache() as cache_dir:
-        cli_s = _time_cli(cache_dir, cli_repeats)
+    with scratch_cache() as cache_dir:
+        command, env = _cli_command(cache_dir)
+        cli, _ = timed(lambda: subprocess.run(
+            command, check=True, env=env,
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        ), repeats)
 
-        start = time.perf_counter()
-        service = SimulationService(cache_dir=cache_dir)
-        service.warm_up()
-        cold_start_s = time.perf_counter() - start
+        def start_service():
+            service = SimulationService(cache_dir=cache_dir)
+            service.warm_up()
+            return service
 
+        cold_start, (service,) = timed(start_service)
         payload = json.loads(gemm_request.to_json())
-        start = time.perf_counter()
-        first = service.handle(dict(payload))
-        first_request_s = time.perf_counter() - start
-
-        latencies = []
-        for _ in range(max(2, warm_requests)):
-            start = time.perf_counter()
-            body = service.handle(dict(payload))
-            latencies.append(time.perf_counter() - start)
-        warm_p50 = _percentile(latencies, 0.50)
-        warm_p99 = _percentile(latencies, 0.99)
+        first_request, (first,) = timed(lambda: service.handle(dict(payload)))
+        warm, bodies = timed(lambda: service.handle(dict(payload)),
+                             max(2, WARM_REQUESTS))
+        latencies = warm["wall_s"]
 
         local = json.dumps(
             serving_execute.gemm_response(gemm_request),
             sort_keys=True, separators=(",", ":"),
         ).encode()
-        byte_identical = first == body == local
 
         before = {**service.counters}
         sweep_payload = json.loads(sweep_request.to_json())
-        with concurrent.futures.ThreadPoolExecutor(concurrency) as pool:
-            bodies = list(pool.map(
+        with concurrent.futures.ThreadPoolExecutor(CONCURRENCY) as pool:
+            sweep_bodies = list(pool.map(
                 lambda _: service.handle(dict(sweep_payload)),
-                range(concurrency),
+                range(CONCURRENCY),
             ))
-        sweep_computes = service.counters["computes"] - before["computes"]
-        dedup_hits = service.counters["dedup_hits"] - before["dedup_hits"]
-        memo_hits = service.counters["memo_hits"] - before["memo_hits"]
-        points_computed = (
-            service.counters["points_computed"] - before["points_computed"]
-        )
-        sweep_identical = len(set(bodies)) == 1
+        delta = {name: service.counters[name] - before[name]
+                 for name in ("computes", "dedup_hits", "memo_hits",
+                              "points_computed")}
 
     return {
         "schema": "repro-camp/bench-serve/v1",
         "python": platform.python_version(),
         "machine": platform.machine(),
         "request": dict(BENCH_GEMM),
-        "cli_one_shot_s": round(cli_s, 4),
-        "cold_start_s": round(cold_start_s, 4),
-        "first_request_s": round(first_request_s, 4),
+        "cli_one_shot_s": cli["best_s"],
+        "cold_start_s": cold_start["best_s"],
+        "first_request_s": first_request["best_s"],
         "warm": {
             "requests": len(latencies),
-            "p50_s": round(warm_p50, 6),
-            "p99_s": round(warm_p99, 6),
+            "p50_s": warm["median_s"],
+            "p99_s": sorted(latencies)[round(0.99 * (len(latencies) - 1))],
             "requests_per_s": round(len(latencies) / max(sum(latencies),
                                                          1e-9), 1),
-            "speedup_p50": round(cli_s / max(warm_p50, 1e-9), 1),
+            "speedup_p50": round(cli["best_s"] / max(warm["median_s"], 1e-9),
+                                 1),
         },
-        "byte_identical": byte_identical,
+        "byte_identical": first == bodies[-1] == local,
         "dedup": {
             "grid": {k: list(v) for k, v in BENCH_SWEEP.items()},
-            "concurrency": concurrency,
-            "computes": sweep_computes,
-            "followers": dedup_hits,
-            "memo_hits": memo_hits,
-            "points_computed": points_computed,
-            "hit_rate": round((dedup_hits + memo_hits)
-                              / max(concurrency, 1), 3),
-            "identical": sweep_identical,
+            "concurrency": CONCURRENCY,
+            "computes": delta["computes"],
+            "followers": delta["dedup_hits"],
+            "memo_hits": delta["memo_hits"],
+            "points_computed": delta["points_computed"],
+            "hit_rate": round((delta["dedup_hits"] + delta["memo_hits"])
+                              / CONCURRENCY, 3),
+            "identical": len(set(sweep_bodies)) == 1,
+            "coalesced": (delta["dedup_hits"] + delta["memo_hits"]
+                          == CONCURRENCY - 1),
         },
     }
-
-
-def write_bench(payload, out_path):
-    path = Path(out_path)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=False) + "\n")
-    return path
-
-
-def check_regression(payload, baseline, min_warm_speedup=MIN_WARM_SPEEDUP,
-                     max_cold_ratio=3.0):
-    """Compare a fresh payload against the committed baseline.
-
-    Returns a list of human-readable problems (empty = gate passes).
-    Part wall time (warm served p50 at least ``min_warm_speedup`` x
-    faster than the one-shot CLI; daemon cold-start within
-    ``max_cold_ratio`` x the committed baseline) and part correctness
-    (served responses byte-identical to local execution; N concurrent
-    identical sweeps computed exactly once, every point once).
-    """
-    problems = []
-    warm = payload["warm"]
-    if warm["speedup_p50"] < min_warm_speedup:
-        problems.append(
-            "warm served p50 is only %.1fx faster than the one-shot CLI "
-            "(%.4fs vs %.3fs); the daemon should answer a warm repeat "
-            ">= %.0fx faster" % (warm["speedup_p50"], warm["p50_s"],
-                                 payload["cli_one_shot_s"],
-                                 min_warm_speedup)
-        )
-    if not payload["byte_identical"]:
-        problems.append(
-            "served responses are not byte-identical to local execution"
-        )
-    dedup = payload["dedup"]
-    if dedup["computes"] != 1:
-        problems.append(
-            "%d concurrent identical sweeps triggered %d computes; "
-            "single-flight must coalesce them to exactly 1"
-            % (dedup["concurrency"], dedup["computes"])
-        )
-    if not dedup["identical"]:
-        problems.append("concurrent sweep responses differ byte-wise")
-    expected_followers = dedup["concurrency"] - 1
-    if dedup["followers"] + dedup["memo_hits"] != expected_followers:
-        problems.append(
-            "expected %d coalesced followers (dedup + memo), counters "
-            "show %d dedup + %d memo"
-            % (expected_followers, dedup["followers"], dedup["memo_hits"])
-        )
-    base_cold = baseline.get("cold_start_s", 0) if baseline else 0
-    if base_cold > 0:
-        threshold = max(max_cold_ratio * base_cold, 1.0)
-        if payload["cold_start_s"] > threshold:
-            problems.append(
-                "daemon cold-start took %.3fs, over the gate of %.3fs "
-                "(max(%.1fx committed baseline %.3fs, 1s floor))"
-                % (payload["cold_start_s"], threshold, max_cold_ratio,
-                   base_cold)
-            )
-    return problems

@@ -1,42 +1,25 @@
-"""Sweep executor bench harness (``repro-camp bench-sweep``).
+"""Sweep executor benchmark (``repro-camp bench-sweep``).
 
-Produces ``BENCH_sweep.json``, the committed baseline behind the CI
-perf gate for the point-granular executor. One multi-core sweep grid
-is timed three ways:
-
-- **Cold** — scratch cache, every point computed.
-- **Warm** — immediate rerun against the same cache; the whole-run
-  entry (and beneath it every point entry) must make this at least
-  :data:`MIN_WARM_SPEEDUP` x faster than cold.
-- **Interrupted + resumed** — a fresh cold run is aborted halfway via
-  the executor's deterministic abort hook
-  (:data:`repro.experiments.executor.ABORT_AFTER_ENV`), then resumed
-  from its journal. The gate checks the resume recomputed *exactly*
-  the points the interruption left unfinished and reassembled records
-  identical to the cold run — correctness, not just wall time.
-
-The payload also carries a ``trace_cache`` section — cold trace
-compiles vs warm loads from the cross-run compiled-trace cache over
-the grid's own (machine, method) pairs, measured and gated through
-:mod:`repro.experiments.bench_pipeline`'s shared helpers.
-
-Everything runs in scratch cache directories (``$REPRO_CACHE_DIR`` is
-redirected for the duration), so benching never touches the user's
-real cache or journals.
+Produces ``BENCH_sweep.json``, gated by the ``sweep`` rows of
+:data:`repro.experiments.bench.GATES`. One multi-core sweep grid is
+timed cold (every point computed), warm (an immediate rerun against
+the same cache) and interrupted-then-resumed: a fresh cold run is
+aborted halfway via the executor's deterministic abort hook
+(:data:`repro.experiments.executor.ABORT_AFTER_ENV`) and resumed from
+its journal, which must recompute *exactly* the points the
+interruption left unfinished and reassemble records identical to the
+cold run. The payload also carries the compiled-trace cache section
+of :func:`repro.experiments.bench_pipeline.measure_compile_cache`.
 """
 
-import json
 import os
 import platform
-import tempfile
-import time
-from contextlib import contextmanager
-from pathlib import Path
+
+from repro.experiments.bench import scratch_cache, timed
 
 #: the committed grid: 2 sizes x 2 methods x 4 core counts = 16 points
 #: on the multi-core cycle-level simulator — big enough that the warm
-#: ratio is signal (cold comfortably above :data:`COLD_FLOOR_S`),
-#: small enough for CI
+#: ratio is signal, small enough for CI
 BENCH_GRID = {
     "sizes": (192, 256),
     "methods": ("camp8", "camp4"),
@@ -45,209 +28,88 @@ BENCH_GRID = {
     "strategy": "npanel",
 }
 
-#: required cold/warm wall-time ratio (the acceptance bar)
-MIN_WARM_SPEEDUP = 5.0
 
-#: below this cold time the warm-ratio gate is skipped — a trivially
-#: small grid measures timer noise, not the cache (both sides of the
-#: ratio are timed in-process, so the floor can sit well under the
-#: cross-machine BENCH_FLOOR_S)
-COLD_FLOOR_S = 0.05
-
-#: absolute floor for the cold-vs-baseline gate, mirroring
-#: :data:`repro.experiments.bench_multicore.BENCH_FLOOR_S`
-BENCH_FLOOR_S = 0.25
-
-
-@contextmanager
-def _scratch_cache():
-    """A throwaway cache root, also exported as ``$REPRO_CACHE_DIR``.
-
-    The journal layer resolves its directory from the environment, so
-    redirecting the variable keeps bench journals out of the real
-    cache.
-    """
-    from repro.experiments.cache import ResultCache
-
-    with tempfile.TemporaryDirectory(prefix="repro-bench-sweep-") as tmp:
-        previous = os.environ.get("REPRO_CACHE_DIR")
-        os.environ["REPRO_CACHE_DIR"] = tmp
-        try:
-            yield ResultCache(tmp)
-        finally:
-            if previous is None:
-                os.environ.pop("REPRO_CACHE_DIR", None)
-            else:
-                os.environ["REPRO_CACHE_DIR"] = previous
-
-
-def _timed_sweep(cache, grid, statuses=None, **extra):
-    """Run the bench grid once; returns ``(result, wall_s)``."""
+def _sweep(cache, statuses=None, **extra):
+    """Run the bench grid once; returns the sweep result."""
     from repro.experiments import orchestrator
 
     def on_point(done, total, point_id, status, elapsed_s):
         if statuses is not None:
             statuses.append(status)
 
-    start = time.perf_counter()
-    result = orchestrator.run_sweep(
-        sizes=list(grid["sizes"]),
+    return orchestrator.run_sweep(
+        sizes=list(BENCH_GRID["sizes"]),
         shapes=[],
-        methods=list(grid["methods"]),
-        machines=list(grid["machines"]),
+        methods=list(BENCH_GRID["methods"]),
+        machines=list(BENCH_GRID["machines"]),
         baseline=None,
         cache=cache,
-        core_counts=list(grid["core_counts"]),
-        strategy=grid["strategy"],
+        core_counts=list(BENCH_GRID["core_counts"]),
+        strategy=BENCH_GRID["strategy"],
         on_point=on_point,
         **extra,
     )
-    return result, time.perf_counter() - start
 
 
-def run_bench(repeats=1, grid=None):
+def run_bench(repeats=1):
     """Full benchmark payload for ``BENCH_sweep.json``."""
-    from repro.experiments import executor
+    from repro.experiments import bench_pipeline, executor
+    from repro.experiments.cache import ResultCache
 
-    grid = {**BENCH_GRID, **(grid or {})}
-    cold_walls = []
     statuses = []
-    with _scratch_cache() as cache:
-        result = None
-        for index in range(max(1, repeats)):
-            if index:
-                cache.prune(max_age_days=0)  # re-cold the store
+    with scratch_cache():
+        cache = ResultCache()
+
+        def recold():
+            cache.prune(max_age_days=0)
             statuses.clear()
-            result, elapsed = _timed_sweep(cache, grid, statuses)
-            cold_walls.append(elapsed)
-        cold_records = result.records
+
+        cold, results = timed(lambda: _sweep(cache, statuses), repeats,
+                              setup=recold)
+        cold_records = results[-1].records
         points_total = len(statuses)
-        warm_result, warm_s = _timed_sweep(cache, grid)
-        warm_identical = warm_result.records == cold_records
+        warm, (warm_result,) = timed(lambda: _sweep(cache))
 
     interrupt_after = max(1, points_total // 2)
-    with _scratch_cache() as cache:
+    with scratch_cache():
+        cache = ResultCache()
         run_id = executor.new_run_id("bench")
         os.environ[executor.ABORT_AFTER_ENV] = str(interrupt_after)
         try:
-            try:
-                _timed_sweep(cache, grid, run_id=run_id)
-            except executor.InterruptedRun:
-                interrupted = True
-            else:
-                interrupted = False
+            _sweep(cache, run_id=run_id)
+        except executor.InterruptedRun:
+            interrupted = True
+        else:
+            interrupted = False
         finally:
             os.environ.pop(executor.ABORT_AFTER_ENV, None)
         statuses = []
-        resume_result, resume_s = _timed_sweep(
-            cache, grid, statuses, resume=run_id
-        )
-        resume_recomputed = sum(1 for s in statuses if s == "computed")
-        resume_identical = resume_result.records == cold_records
+        resume, (resume_result,) = timed(
+            lambda: _sweep(cache, statuses, resume=run_id))
+        resume_recomputed = statuses.count("computed")
 
-    from repro.experiments import bench_pipeline
-
-    trace_specs = tuple(
-        (machine, method)
-        for machine in grid["machines"]
-        for method in grid["methods"]
-    )
-    trace_cache_section = bench_pipeline.measure_compile_cache(
-        pairs=bench_pipeline.compile_bench_pairs(trace_specs),
-        repeats=max(1, repeats),
-    )
-
-    cold_s = min(cold_walls)
+    cold_s, warm_s, resume_s = (
+        cold["best_s"], warm["best_s"], resume["best_s"])
     return {
         "schema": "repro-camp/bench-sweep/v1",
         "python": platform.python_version(),
         "machine": platform.machine(),
-        "grid": {
-            "sizes": list(grid["sizes"]),
-            "methods": list(grid["methods"]),
-            "machines": list(grid["machines"]),
-            "core_counts": list(grid["core_counts"]),
-            "strategy": grid["strategy"],
-        },
+        "grid": {key: value if isinstance(value, str) else list(value)
+                 for key, value in BENCH_GRID.items()},
         "points_total": points_total,
-        "cold_wall_s": [round(wall, 4) for wall in cold_walls],
-        "cold_s": round(cold_s, 4),
-        "warm_s": round(warm_s, 4),
+        "cold_wall_s": cold["wall_s"],
+        "cold_s": cold_s,
+        "warm_s": warm_s,
         "warm_speedup": round(cold_s / max(warm_s, 1e-6), 2),
-        "warm_identical": warm_identical,
+        "warm_identical": warm_result.records == cold_records,
         "interrupted": interrupted,
         "interrupt_after": interrupt_after,
-        "resume_s": round(resume_s, 4),
+        "resume_s": resume_s,
         "resume_speedup": round(cold_s / max(resume_s, 1e-6), 2),
         "resume_recomputed": resume_recomputed,
         "resume_replayed": points_total - resume_recomputed,
-        "resume_identical": resume_identical,
-        "trace_cache": trace_cache_section,
+        "resume_exact": (
+            resume_recomputed == points_total - interrupt_after),
+        "resume_identical": resume_result.records == cold_records,
+        "trace_cache": bench_pipeline.measure_compile_cache(repeats),
     }
-
-
-def write_bench(payload, out_path):
-    path = Path(out_path)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=False) + "\n")
-    return path
-
-
-def check_regression(payload, baseline, min_warm_speedup=MIN_WARM_SPEEDUP,
-                     max_cold_ratio=3.0, min_compile_speedup=None):
-    """Compare a fresh payload against the committed baseline.
-
-    Returns a list of human-readable problems (empty = gate passes).
-    The gate is part wall time (warm rerun at least
-    ``min_warm_speedup`` x faster than cold; cold within
-    ``max_cold_ratio`` x the committed baseline; warm trace-cache
-    loads at least ``min_compile_speedup`` x faster than cold
-    compiles) and part correctness (the abort hook interrupted, the
-    resume recomputed exactly the unfinished points, records
-    byte-identical across all three paths, cached traces identical to
-    fresh compiles).
-    """
-    from repro.experiments import bench_pipeline
-
-    if min_compile_speedup is None:
-        min_compile_speedup = bench_pipeline.MIN_COMPILE_SPEEDUP
-    problems = []
-    if (payload["cold_s"] >= COLD_FLOOR_S
-            and payload["warm_speedup"] < min_warm_speedup):
-        problems.append(
-            "warm sweep rerun is only %.1fx faster than cold (%.3fs vs "
-            "%.3fs); the result cache should make it >= %.1fx"
-            % (payload["warm_speedup"], payload["warm_s"],
-               payload["cold_s"], min_warm_speedup)
-        )
-    if not payload["warm_identical"]:
-        problems.append("warm sweep records differ from the cold run")
-    if not payload["interrupted"]:
-        problems.append(
-            "the executor abort hook did not interrupt the sweep"
-        )
-    expected = payload["points_total"] - payload["interrupt_after"]
-    if payload["resume_recomputed"] != expected:
-        problems.append(
-            "resumed sweep recomputed %d points, expected exactly the %d "
-            "the interruption left unfinished (journal replay leak)"
-            % (payload["resume_recomputed"], expected)
-        )
-    if not payload["resume_identical"]:
-        problems.append("resumed sweep records differ from the cold run")
-    base_cold = baseline.get("cold_s", 0) if baseline else 0
-    if base_cold > 0:
-        threshold = max(max_cold_ratio * base_cold, BENCH_FLOOR_S)
-        if payload["cold_s"] > threshold:
-            problems.append(
-                "cold sweep took %.3fs, over the gate of %.3fs "
-                "(max(%.1fx committed baseline %.3fs, %.2fs floor))"
-                % (payload["cold_s"], threshold, max_cold_ratio,
-                   base_cold, BENCH_FLOOR_S)
-            )
-    problems.extend(
-        bench_pipeline.compile_cache_problems(
-            payload.get("trace_cache"),
-            min_compile_speedup=min_compile_speedup,
-        )
-    )
-    return problems

@@ -343,10 +343,10 @@ class TestBenchMulticore:
              "--check", str(out_path)]
         ) == 0
         out = capsys.readouterr().out
-        assert "perf gate passed" in out
+        assert "bench-multicore gate passed" in out
 
     def test_gate_catches_regression(self, tmp_path, monkeypatch, capsys):
-        from repro.experiments import bench_multicore
+        from repro.experiments import bench, bench_multicore
 
         monkeypatch.setattr(
             bench_multicore, "BENCH_POINT",
@@ -356,25 +356,21 @@ class TestBenchMulticore:
         payload = bench_multicore.run_bench(repeats=2)
         fast_baseline = json.loads(json.dumps(payload))
         fast_baseline["scaling"]["best_s"] = 1e-9
-        problems = bench_multicore.check_regression(
-            payload, fast_baseline, max_ratio=3.0
-        )
+        problems = bench.check("multicore", payload, fast_baseline)
         # floor saves a tiny baseline from noise; force a real breach
+        floor = next(gate.floor for gate in bench.GATES
+                     if gate.path == "scaling.best_s")
         slow = json.loads(json.dumps(payload))
-        slow["scaling"]["best_s"] = (
-            bench_multicore.BENCH_FLOOR_S * 10
-        )
-        assert bench_multicore.check_regression(
-            slow, fast_baseline, max_ratio=3.0
-        )
+        slow["scaling"]["best_s"] = floor * 10
+        assert bench.check("multicore", slow, fast_baseline)
         assert problems == []
 
     def test_gate_flags_nondeterminism(self):
-        from repro.experiments import bench_multicore
+        from repro.experiments import bench
 
         payload = {"scaling": {"best_s": 0.1, "deterministic": False}}
         baseline = {"scaling": {"best_s": 0.1}}
-        problems = bench_multicore.check_regression(payload, baseline)
+        problems = bench.check("multicore", payload, baseline)
         assert any("deterministic" in problem for problem in problems)
 
 
@@ -494,34 +490,40 @@ class TestCacheCli:
 
 
 class TestBenchSweep:
-    def test_smoke_and_gate(self, tmp_path, capsys):
+    def test_smoke_and_gate(self, tmp_path, capsys, monkeypatch):
+        from repro.experiments import bench_sweep
+
+        monkeypatch.setattr(bench_sweep, "BENCH_GRID", {
+            **bench_sweep.BENCH_GRID, "sizes": (48,), "methods": ("camp8",),
+            "core_counts": (1, 2),
+        })
         out = tmp_path / "BENCH_sweep.json"
-        code = main(["bench-sweep", "--sizes", "48", "--methods", "camp8",
-                     "--cores", "1,2", "--out", str(out),
-                     "--check", str(out)])
+        code = main(["bench-sweep", "--out", str(out), "--check", str(out)])
         assert code == 0
         printed = capsys.readouterr().out
-        assert "sweep bench (2 points)" in printed
-        assert "perf gate passed" in printed
+        assert "resume_exact" in printed and "warm_speedup" in printed
+        assert "bench-sweep gate passed" in printed
         payload = json.loads(out.read_text())
         assert payload["points_total"] == 2
         assert payload["resume_recomputed"] == 1
+        assert payload["resume_exact"]
         assert payload["warm_identical"] and payload["resume_identical"]
 
     def test_gate_catches_replay_leak(self):
-        from repro.experiments import bench_sweep
+        from repro.experiments import bench
 
         payload = {
             "cold_s": 1.0, "warm_s": 0.01, "warm_speedup": 100.0,
             "warm_identical": True, "interrupted": True,
             "interrupt_after": 2, "points_total": 4,
-            "resume_recomputed": 4, "resume_identical": True,
+            "resume_recomputed": 4, "resume_exact": False,
+            "resume_identical": True,
         }
-        problems = bench_sweep.check_regression(payload, {"cold_s": 1.0})
+        problems = bench.check("sweep", payload, {"cold_s": 1.0})
         assert any("journal replay leak" in p for p in problems)
 
     def test_gate_catches_slow_warm_rerun(self):
-        from repro.experiments import bench_sweep
+        from repro.experiments import bench
 
         payload = {
             "cold_s": 1.0, "warm_s": 0.9, "warm_speedup": 1.1,
@@ -529,7 +531,7 @@ class TestBenchSweep:
             "interrupt_after": 2, "points_total": 4,
             "resume_recomputed": 2, "resume_identical": True,
         }
-        problems = bench_sweep.check_regression(payload, {"cold_s": 1.0})
+        problems = bench.check("sweep", payload, {"cold_s": 1.0})
         assert any("warm sweep rerun" in p for p in problems)
 
 
@@ -576,16 +578,16 @@ class TestBenchAnalytic:
         out = tmp_path / "BENCH_analytic.json"
         assert main(["bench-analytic", "--out", str(out)]) == 0
         printed = capsys.readouterr().out
-        assert "model accuracy" in printed
+        assert "accuracy.p95_rel_error" in printed
         payload = json.loads(out.read_text())
         assert payload["accuracy"]["within_band"]
         # the freshly produced payload gates green against itself
         assert main(["bench-analytic", "--out", str(tmp_path / "again.json"),
                      "--check", str(out)]) == 0
-        assert "analytic gate passed" in capsys.readouterr().out
+        assert "bench-analytic gate passed" in capsys.readouterr().out
 
     def test_gate_catches_band_breach(self):
-        from repro.experiments import bench_analytic
+        from repro.experiments import bench
 
         payload = {
             "accuracy": {"p95_rel_error": 0.2, "max_rel_error": 0.3,
@@ -595,12 +597,12 @@ class TestBenchAnalytic:
                         "sim_per_shape_s": 0.05},
             "calibrate_s": 1.0,
         }
-        problems = bench_analytic.check_regression(payload, {})
+        problems = bench.check("analytic", payload, {})
         assert any("p95" in p for p in problems)
         assert any("hard cap" in p for p in problems)
 
     def test_gate_catches_slow_predictions(self):
-        from repro.experiments import bench_analytic
+        from repro.experiments import bench
 
         payload = {
             "accuracy": {"p95_rel_error": 0.01, "max_rel_error": 0.02,
@@ -610,5 +612,5 @@ class TestBenchAnalytic:
                         "sim_per_shape_s": 0.012},
             "calibrate_s": 1.0,
         }
-        problems = bench_analytic.check_regression(payload, {})
+        problems = bench.check("analytic", payload, {})
         assert any("faster than simulation" in p for p in problems)

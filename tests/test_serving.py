@@ -416,23 +416,24 @@ class TestBenchServe:
         monkeypatch.setattr(bench_serve, "BENCH_SWEEP",
                             {"sizes": (16, 24), "methods": ("camp8",),
                              "machines": ("a64fx",)})
+        monkeypatch.setattr(bench_serve, "WARM_REQUESTS", 4)
+        monkeypatch.setattr(bench_serve, "CONCURRENCY", 3)
         out_path = tmp_path / "BENCH_serve.json"
         assert main(["bench-serve", "--repeats", "1",
-                     "--warm-requests", "4", "--concurrency", "3",
                      "--out", str(out_path)]) == 0
         payload = json.loads(out_path.read_text())
         assert payload["byte_identical"]
         assert payload["dedup"]["computes"] == 1
         assert payload["dedup"]["points_computed"] == 2
+        assert payload["dedup"]["coalesced"]
         assert payload["warm"]["speedup_p50"] >= 20
         assert main(["bench-serve", "--repeats", "1",
-                     "--warm-requests", "4", "--concurrency", "3",
                      "--out", "", "--check", str(out_path)]) == 0
         out = capsys.readouterr().out
-        assert "serve gate passed" in out
+        assert "bench-serve gate passed" in out
 
     def test_check_regression_flags_problems(self):
-        from repro.experiments import bench_serve
+        from repro.experiments import bench
 
         payload = {
             "cli_one_shot_s": 1.0,
@@ -440,10 +441,10 @@ class TestBenchServe:
             "warm": {"speedup_p50": 3.0, "p50_s": 0.33},
             "byte_identical": False,
             "dedup": {"concurrency": 4, "computes": 2, "followers": 1,
-                      "memo_hits": 0, "identical": True},
+                      "memo_hits": 0, "identical": True,
+                      "coalesced": False},
         }
-        problems = bench_serve.check_regression(
-            payload, {"cold_start_s": 0.5})
+        problems = bench.check("serve", payload, {"cold_start_s": 0.5})
         assert any("only 3.0x" in p for p in problems)
         assert any("byte-identical" in p for p in problems)
         assert any("single-flight" in p for p in problems)
